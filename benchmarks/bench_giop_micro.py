@@ -8,6 +8,8 @@ wire-stack primitives in isolation so CDR/framing regressions surface
 on their own axis:
 
 * ``encode`` / ``decode`` of a representative Request round-trip;
+* ``encode`` / ``decode`` of a Reply carrying a 33-row x 6-column
+  mixed result set, the payload a native fetch ships back;
 * ``decode`` over a zero-copy ``memoryview`` (the event-loop server's
   hot path) versus over ``bytes``;
 * header peeks — ``peek_frame_size`` / ``peek_request`` /
@@ -16,6 +18,8 @@ on their own axis:
 
 Run with ``pytest benchmarks/bench_giop_micro.py --benchmark-only``.
 """
+
+import datetime
 
 from repro.orb.giop import (ReplyMessage, ReplyStatus, RequestMessage,
                             decode_message, encode_message,
@@ -40,6 +44,22 @@ REPLY_FRAME = encode_message(ReplyMessage(
           "columns": ["ra", "dec", "mag"]}))
 
 
+#: A native-fetch answer as an ISI servant ships it: a result set of
+#: 33 rows x 6 columns mixing int, str, double, date and null.
+RESULT_SET_REPLY = ReplyMessage(
+    request_id=4321, status=ReplyStatus.NO_EXCEPTION,
+    body={"__kind__": "resultset",
+          "columns": ["ClaimId", "Member", "Amount", "Lodged", "Note",
+                      "Status"],
+          "rows": [[1000 + i, f"member-{i:03d}", 12.5 * i + 0.25,
+                    datetime.date(1998, 1 + i % 12, 1 + i % 28),
+                    None if i % 3 else "reviewed", "paid"]
+                   for i in range(33)],
+          "rowcount": 33},
+    service_context=[(0xBEEF, "orbix")])
+RESULT_SET_FRAME = encode_message(RESULT_SET_REPLY)
+
+
 def test_encode_request(benchmark):
     frame = benchmark(encode_message, REQUEST)
     assert peek_request(frame) == (12345, True)
@@ -56,6 +76,16 @@ def test_decode_request_from_memoryview(benchmark):
     view = memoryview(REQUEST_FRAME)
     message = benchmark(decode_message, view)
     assert message.request_id == 12345
+
+
+def test_encode_result_set_reply(benchmark):
+    frame = benchmark(encode_message, RESULT_SET_REPLY)
+    assert frame == RESULT_SET_FRAME
+
+
+def test_decode_result_set_reply(benchmark):
+    message = benchmark(decode_message, memoryview(RESULT_SET_FRAME))
+    assert message == RESULT_SET_REPLY
 
 
 def test_peek_frame_size(benchmark):

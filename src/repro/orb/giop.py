@@ -19,6 +19,7 @@ type, and the body size.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -28,6 +29,10 @@ from repro.orb.cdr import CdrDecoder, CdrEncoder
 MAGIC = b"GIOP"
 VERSION = (1, 0)
 HEADER_SIZE = 12
+
+#: The header's layout (magic, major, minor, flags, message type, body
+#: size) in each byte order; the flags octet announces which one.
+_HEADER = {False: struct.Struct(">4sBBBBI"), True: struct.Struct("<4sBBBBI")}
 
 
 class MessageType(enum.IntEnum):
@@ -111,15 +116,10 @@ Message = (RequestMessage | ReplyMessage | LocateRequestMessage
 
 def _encode_header(encoder: CdrEncoder, message_type: MessageType,
                    body: bytes) -> bytes:
-    header = bytearray()
-    header += MAGIC
-    header.append(VERSION[0])
-    header.append(VERSION[1])
-    header.append(1 if encoder.little_endian else 0)
-    header.append(int(message_type))
-    size = len(body).to_bytes(4, "little" if encoder.little_endian else "big")
-    header += size
-    return bytes(header) + body
+    little_endian = encoder.little_endian
+    return _HEADER[little_endian].pack(
+        MAGIC, VERSION[0], VERSION[1], 1 if little_endian else 0,
+        message_type, len(body)) + body
 
 
 def _encode_service_context(encoder: CdrEncoder,
@@ -138,8 +138,9 @@ def _decode_service_context(decoder: CdrDecoder) -> list[tuple[int, str]]:
 
 def encode_message(message: Message, little_endian: bool = False) -> bytes:
     """Serialize *message* to GIOP bytes (header + CDR body)."""
-    # Body positions are computed relative to the end of the 12-octet
-    # header, which is itself 8-aligned, so alignment stays consistent.
+    # Alignment is measured from the first body octet on both sides (the
+    # decoder reads the body alone), not from the start of the frame:
+    # the 12-octet header is not a multiple of 8.
     encoder = CdrEncoder(little_endian)
     if isinstance(message, RequestMessage):
         message_type = MessageType.REQUEST

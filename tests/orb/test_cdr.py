@@ -212,3 +212,75 @@ def test_getvalue_cache_preserves_length_accounting():
     assert len(encoder.getvalue()) == len(encoder) == 4
     encoder.write_double(2.5)  # 8-aligned: pads to 8 then writes 8
     assert len(encoder.getvalue()) == len(encoder) == 16
+
+
+# ------------------------------------------------------ typed failures --
+
+
+def _nested_sequences(depth: int, little: bool = False) -> bytes:
+    """CDR bytes of *depth* nested one-element sequences around a null."""
+    encoder = CdrEncoder(little)
+    for _ in range(depth):
+        encoder.write_octet(9)  # TAG_SEQUENCE
+        encoder.write_ulong(1)
+    encoder.write_octet(0)  # TAG_NULL
+    return encoder.getvalue()
+
+
+class TestTypedFailures:
+    """Every marshalling failure surfaces as MarshalError, never as
+    struct.error, RecursionError or UnicodeError."""
+
+    @pytest.mark.parametrize("method,value", [
+        ("write_ushort", 70000), ("write_ushort", -1),
+        ("write_short", 40000), ("write_long", 2**31),
+        ("write_ulong", -1), ("write_ulong", 2**32),
+        ("write_longlong", 2**63), ("write_long", "7"),
+        ("write_double", "1.5"),
+    ])
+    def test_out_of_range_primitive(self, method, value):
+        encoder = CdrEncoder()
+        with pytest.raises(MarshalError):
+            getattr(encoder, method)(value)
+        assert len(encoder) == 0
+
+    def test_deeply_nested_decode(self):
+        for little in (False, True):
+            with pytest.raises(MarshalError):
+                decode_any(_nested_sequences(5000, little), little)
+
+    def test_moderately_nested_decode_still_works(self):
+        value = decode_any(_nested_sequences(50))
+        for _ in range(50):
+            value = value[0]
+        assert value is None
+
+    def test_self_referential_list(self):
+        cycle: list = []
+        cycle.append(cycle)
+        with pytest.raises(MarshalError):
+            encode_any(cycle)
+
+    def test_self_referential_dict(self):
+        cycle: dict = {}
+        cycle["self"] = cycle
+        with pytest.raises(MarshalError):
+            encode_any(cycle, little_endian=True)
+
+    def test_unencodable_string(self):
+        with pytest.raises(MarshalError):
+            encode_any(["ok", "\ud800"])
+        with pytest.raises(MarshalError):
+            CdrEncoder().write_string("\udfff")
+
+    def test_datetime_rejected(self):
+        with pytest.raises(MarshalError):
+            encode_any(datetime.datetime(1999, 3, 1, 12, 0))
+
+    def test_out_of_range_date_on_the_wire(self):
+        for days in (2**31 - 1, -2**31):
+            encoder = CdrEncoder()
+            encoder.write_octet(8)  # TAG_DATE
+            encoder.write_long(days)
+            with pytest.raises(MarshalError):
+                decode_any(encoder.getvalue())

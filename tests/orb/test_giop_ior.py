@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MarshalError
+from repro.orb.cdr import CdrEncoder
 from repro.orb.giop import (HEADER_SIZE, MAGIC, LocateReplyMessage,
                             LocateRequestMessage, LocateStatus, MessageType,
                             ReplyMessage, ReplyStatus, RequestMessage,
@@ -149,3 +150,32 @@ class TestUnsupportedMessageTypes:
             frame[7] = int(type_octet)
             with pytest.raises(MarshalError):
                 decode_message(bytes(frame))
+
+
+class TestTypedFailures:
+    def test_out_of_range_port_is_a_marshal_error(self):
+        ior = Ior("IDL:x:1.0", (IiopProfile("h", 70000, b"k"),))
+        with pytest.raises(MarshalError):
+            ior.to_string()
+
+    def test_deeply_nested_reply_body_is_a_marshal_error(self):
+        encoder = CdrEncoder()
+        encoder.write_ulong(0)  # no service contexts
+        encoder.write_ulong(5)  # request id
+        encoder.write_ulong(int(ReplyStatus.NO_EXCEPTION))
+        for _ in range(5000):
+            encoder.write_octet(9)  # TAG_SEQUENCE
+            encoder.write_ulong(1)
+        encoder.write_octet(0)  # TAG_NULL
+        body = encoder.getvalue()
+        frame = (MAGIC + bytes([1, 0, 0, int(MessageType.REPLY)])
+                 + len(body).to_bytes(4, "big") + body)
+        with pytest.raises(MarshalError):
+            decode_message(frame)
+
+    def test_self_referential_request_argument_is_a_marshal_error(self):
+        cycle: list = []
+        cycle.append(cycle)
+        with pytest.raises(MarshalError):
+            encode_message(RequestMessage(request_id=1, object_key=b"k",
+                                          operation="op", arguments=[cycle]))
