@@ -88,7 +88,7 @@ def _run_rate(rate, shed, budget):
     """One (offered rate, shedding config) point; returns the row dict."""
     transport = TcpTransport(
         pipelined=True, stripes=STRIPES, pipeline_depth=PIPELINE_DEPTH,
-        loop=True, loop_workers=LOOP_WORKERS, timeout=TIMEOUT,
+        loop_workers=LOOP_WORKERS, timeout=TIMEOUT,
         overload=OverloadPolicy(shed=shed))
     try:
         server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)

@@ -7,28 +7,24 @@ moment the barrier drops, over a modelled one-way WAN latency), run
 against the selector-loop transport whose entire server side is **one
 loop thread plus a bounded worker pool**.
 
-Three regimes, reported honestly:
+Three regimes:
 
 * **low concurrency** (8 clients) — the loop's extra hops (submit ->
-  loop -> worker -> loop -> flush) are pure overhead when a handful of
-  threads would have done; if threaded wins here, that is the expected
-  cost of the architecture and is recorded, not gated.
-* **hot endpoint** (96 clients) — the acceptance gate: event-loop
-  wall-clock at-or-better than the threaded pipelined transport.
-  Threaded mode burns its worker pool sleeping out the modelled
-  latency; the loop parks delayed replies on its timer heap, so its
-  six workers only ever do real dispatch work.
-* **storm** (1000 clients) — loop only (the threaded transport would
-  need hundreds of threads): completeness 1.00 with the server side
+  loop -> worker -> loop -> flush) dominate when a handful of callers
+  share the endpoint;
+* **hot endpoint** (96 clients) — the loop parks delayed replies on
+  its timer heap, so its six workers only ever do real dispatch work;
+* **storm** (1000 clients) — completeness 1.00 with the server side
   bounded at <= 8 OS threads.
 
-Results persist to ``BENCH_eventloop.json``.
+``BENCH_eventloop.json`` keeps the last measured comparison against
+the thread-per-connection transport this loop replaced (the loop was
+1.06x at 8 clients and 2.33x at 96).  That transport is gone, so this
+bench prints its table and checks its gates without rewriting the file.
 """
 
-import json
 import threading
 import time
-from pathlib import Path
 
 from repro.bench import print_table
 from repro.core.discovery import CoDatabaseClient, DiscoveryEngine
@@ -41,16 +37,13 @@ TOPIC = "astronomy catalogues"
 HOT_DB = "sky_survey_main"
 LATENCY = 0.005           # modelled one-way WAN delay, seconds
 LOW_CLIENTS = 8
-HOT_CLIENTS = 96          # the at-or-better comparison point
-STORM_CLIENTS = 1000      # loop-only storm
+HOT_CLIENTS = 96
+STORM_CLIENTS = 1000
 STRIPES = 8
 PIPELINE_DEPTH = 256
 LOOP_WORKERS = 6          # 1 loop + 6 workers = 7 <= 8 thread bound
 MAX_SERVER_THREADS = 8
 TIMEOUT = 60.0            # generous: 3000 GIL-bound replies take a while
-#: Tolerance on the at-or-better gate: one run each on a shared,
-#: single-CPU box jitters a few percent either way.
-HOT_TOLERANCE = 1.10
 
 
 def _registry():
@@ -109,118 +102,51 @@ def _run_config(transport, clients):
         transport.close()
 
 
-def _threaded_transport():
-    return TcpTransport(pipelined=True, stripes=STRIPES,
-                        pipeline_depth=PIPELINE_DEPTH, latency=LATENCY,
-                        timeout=TIMEOUT, loop=False)
-
-
 def _loop_transport():
     return TcpTransport(pipelined=True, stripes=STRIPES,
                         pipeline_depth=PIPELINE_DEPTH, latency=LATENCY,
-                        timeout=TIMEOUT, loop=True,
-                        loop_workers=LOOP_WORKERS)
+                        timeout=TIMEOUT, loop_workers=LOOP_WORKERS)
 
 
-def _comparison_point(clients):
-    threaded_s, threaded_complete, __, threaded_metrics = _run_config(
-        _threaded_transport(), clients)
-    loop_s, loop_complete, loop_threads, loop_metrics = _run_config(
+def _point(clients):
+    elapsed, complete, server_threads, metrics = _run_config(
         _loop_transport(), clients)
     return {
         "clients": clients,
         "calls": clients * 3,
-        "threaded_ms": round(threaded_s * 1e3, 1),
-        "eventloop_ms": round(loop_s * 1e3, 1),
-        "speedup": round(threaded_s / loop_s, 2),
-        "threaded_completeness": round(threaded_complete, 2),
-        "eventloop_completeness": round(loop_complete, 2),
-        "eventloop_server_threads": loop_threads,
-        "eventloop_metrics": {key: loop_metrics[key] for key in (
-            "connections_opened", "requests_pipelined", "max_in_flight",
-            "pipeline_stalls", "batch_flushes", "frames_batched")},
-        "threaded_metrics": {key: threaded_metrics[key] for key in (
-            "connections_opened", "requests_pipelined", "max_in_flight",
-            "pipeline_stalls")},
-    }
-
-
-def test_s9_eventloop_storm(benchmark):
-    low = _comparison_point(LOW_CLIENTS)
-    hot = _comparison_point(HOT_CLIENTS)
-
-    storm_s, storm_complete, storm_threads, storm_metrics = _run_config(
-        _loop_transport(), STORM_CLIENTS)
-    storm = {
-        "clients": STORM_CLIENTS,
-        "calls": STORM_CLIENTS * 3,
-        "eventloop_ms": round(storm_s * 1e3, 1),
-        "eventloop_completeness": round(storm_complete, 2),
-        "eventloop_server_threads": storm_threads,
-        "eventloop_metrics": {key: storm_metrics[key] for key in (
+        "eventloop_ms": round(elapsed * 1e3, 1),
+        "eventloop_completeness": round(complete, 2),
+        "eventloop_server_threads": server_threads,
+        "eventloop_metrics": {key: metrics[key] for key in (
             "connections_opened", "requests_pipelined", "max_in_flight",
             "pipeline_stalls", "pipeline_overflows", "batch_flushes",
             "frames_batched")},
     }
 
+
+def test_s9_eventloop_storm(benchmark):
+    points = [_point(clients)
+              for clients in (LOW_CLIENTS, HOT_CLIENTS, STORM_CLIENTS)]
     rows = [[point["clients"], point["calls"],
-             f"{point.get('threaded_ms', float('nan')):.0f}"
-             if "threaded_ms" in point else "-",
              f"{point['eventloop_ms']:.0f}",
-             f"{point['speedup']:.2f}x" if "speedup" in point else "-",
              point["eventloop_server_threads"],
              f"{point['eventloop_completeness']:.2f}"]
-            for point in (low, hot, storm)]
+            for point in points]
     print_table(
-        f"S9b: event-loop vs threaded pipelined transport "
+        f"S9b: event-loop transport under a client storm "
         f"(stripes={STRIPES}, latency={LATENCY * 1e3:.0f}ms one-way, "
         f"loop={LOOP_WORKERS} workers)",
-        ["clients", "calls", "threaded ms", "loop ms", "speedup",
-         "srv threads", "completeness"], rows)
+        ["clients", "calls", "loop ms", "srv threads", "completeness"],
+        rows)
 
     # Correctness everywhere: nobody lost or cross-wired a reply.
-    for point in (low, hot):
-        assert point["threaded_completeness"] == 1.0
+    for point in points:
         assert point["eventloop_completeness"] == 1.0
         assert point["eventloop_metrics"]["pipeline_stalls"] == 0
-    assert storm["eventloop_completeness"] == 1.0
-    assert storm["eventloop_metrics"]["pipeline_stalls"] == 0
 
     # The architectural bound: a 1000-client storm is served by the
     # loop plus its worker pool — a fixed handful of OS threads.
+    storm = points[-1]
     assert storm["eventloop_server_threads"] <= MAX_SERVER_THREADS
-
-    # Acceptance gate: at the hot-endpoint point the event loop is
-    # at-or-better than threaded pipelining (within run jitter).
-    assert hot["eventloop_ms"] <= hot["threaded_ms"] * HOT_TOLERANCE, \
-        (f"event loop {hot['eventloop_ms']}ms worse than threaded "
-         f"{hot['threaded_ms']}ms at {HOT_CLIENTS} clients")
-
-    out = {
-        "benchmark": "S9b event loop: hot co-database client storm",
-        "scenario": {
-            "topic": TOPIC,
-            "latency_ms_one_way": LATENCY * 1e3,
-            "stripes": STRIPES,
-            "pipeline_depth": PIPELINE_DEPTH,
-            "loop_workers": LOOP_WORKERS,
-            "max_server_threads": MAX_SERVER_THREADS,
-            "hot_clients": HOT_CLIENTS,
-            "storm_clients": STORM_CLIENTS,
-            "hot_tolerance": HOT_TOLERANCE,
-        },
-        "low_concurrency": low,
-        "hot_endpoint": hot,
-        "storm": storm,
-        "notes": (
-            "low_concurrency is reported without a gate: with a "
-            "handful of clients the loop's submit->loop->worker->loop "
-            "hops are pure overhead versus direct threaded I/O, and "
-            "threaded mode may win that regime. The loop's payoff is "
-            "the storm: bounded threads and timer-heap latency "
-            "instead of workers sleeping out the WAN delay."),
-    }
-    path = Path(__file__).resolve().parents[1] / "BENCH_eventloop.json"
-    path.write_text(json.dumps(out, indent=2) + "\n")
 
     benchmark(lambda: storm["eventloop_completeness"])

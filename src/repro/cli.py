@@ -277,25 +277,16 @@ def main(argv: Optional[list[str]] = None,
                         help="with --tcp --stripes: max requests in "
                              "flight per pipelined connection "
                              "(default 32)")
-    parser.add_argument("--transport-loop", action="store_true",
-                        help="with --tcp: run the transport on the "
-                             "selector event loop instead of threads "
-                             "(see docs/event-loop.md)")
     parser.add_argument("--batch-flush", type=int, default=64 * 1024,
-                        help="with --tcp --transport-loop: max bytes one "
-                             "flush coalesces into a single send "
-                             "(default 65536)")
+                        help="with --tcp: max bytes one event-loop flush "
+                             "coalesces into a single send "
+                             "(default 65536; see docs/event-loop.md)")
     parser.add_argument("--accept-backlog", type=int, default=None,
                         help="with --tcp: listen(2) backlog per endpoint "
-                             "(default: 64 threaded, 512 event loop)")
+                             "(default 512)")
     parser.add_argument("--loop-workers", type=int, default=6,
-                        help="with --tcp --transport-loop: servant "
-                             "dispatch threads shared by all endpoints "
-                             "(default 6)")
-    parser.add_argument("--connection-workers", type=int, default=None,
-                        help="with --tcp --stripes: dispatch threads per "
-                             "pipelined connection (default: tracks "
-                             "--pipeline-depth)")
+                        help="with --tcp: servant dispatch threads "
+                             "shared by all endpoints (default 6)")
     parser.add_argument("--shedding", action="store_true",
                         help="with --tcp: deadline-aware admission "
                              "control and load shedding on every "
@@ -335,11 +326,9 @@ def main(argv: Optional[list[str]] = None,
         from repro.orb.transport import TcpTransport
         overload = OverloadPolicy(shed=True) if options.shedding else None
         tcp_kwargs = dict(pipeline_depth=options.pipeline_depth,
-                          loop=options.transport_loop or None,
                           loop_workers=options.loop_workers,
                           batch_flush=options.batch_flush,
                           accept_backlog=options.accept_backlog,
-                          connection_workers=options.connection_workers,
                           overload=overload)
         if options.stripes is not None:
             transport = TcpTransport(pipelined=True,

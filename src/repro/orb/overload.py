@@ -4,10 +4,9 @@ Past saturation, an ORB that accepts everything serves *nothing*: every
 request waits out its deadline in the dispatch queue, the server burns
 its capacity on work whose caller has already given up, and client
 retries multiply the offered load — metastable congestion collapse.
-The :class:`AdmissionController` defends both dispatch paths of
-:class:`~repro.orb.transport.TcpTransport` (the threaded per-connection
-pool and the event-loop ``loop_workers`` pool) with three complementary
-checks:
+The :class:`AdmissionController` defends the dispatch path of
+:class:`~repro.orb.transport.TcpTransport` (its event loop's
+``loop_workers`` pool) with three complementary checks:
 
 * **Bounded queues** — a hard cap on requests admitted but not yet
   dispatched (``queue_limit``), with a lower cap for background

@@ -14,21 +14,16 @@ Two interchangeable transports:
   ``pooled=False`` for the per-call behaviour benchmarks use as a
   baseline.
 
-:class:`TcpTransport` runs in one of two I/O modes:
-
-* **threaded** (the legacy mode) — a ``ThreadingTCPServer`` per
-  endpoint, one handler thread per accepted connection, and one reader
-  thread per pipelined client stripe;
-* **event-loop** (``loop=True``, or ``REPRO_TRANSPORT_LOOP=1``) — a
-  single ``selectors``-based reader/writer thread demultiplexes every
-  server-side connection *and* every pipelined client channel.
-  Servant dispatch runs on a small bounded worker pool so application
-  code never blocks the loop; replies are posted back to the loop for
-  non-blocking, batched writes (small GIOP frames queued for the same
-  connection coalesce into one ``send``).  See ``docs/event-loop.md``.
-
 Both expose the same two operations: ``register`` a server endpoint and
 ``send`` a request to an endpoint, returning the reply bytes.
+
+:class:`TcpTransport` has one I/O mode: a single ``selectors``-based
+reader/writer thread demultiplexes every listener, every accepted
+server connection *and* every pipelined client channel.  Servant
+dispatch runs on a small bounded worker pool so application code never
+blocks the loop; replies are posted back to the loop for non-blocking,
+batched writes (small GIOP frames queued for the same connection
+coalesce into one ``send``).  See ``docs/event-loop.md``.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ import itertools
 import os
 import selectors
 import socket
-import socketserver
 import threading
 import time
 from collections import deque
@@ -65,9 +59,9 @@ Endpoint = tuple[str, int]
 class TransportMetrics:
     """Counters accumulated by a transport, consumed by benchmarks.
 
-    Transports serve many client threads at once (``ThreadingTCPServer``
-    on the server side, parallel discovery fan-out on the client side),
-    so every update happens under one lock — unlocked ``+=`` on these
+    Transports serve many threads at once (the event loop and its
+    dispatch workers on the server side, parallel discovery fan-out on
+    the client side), so every update happens under one lock — unlocked ``+=`` on these
     counters loses increments under contention.
     """
 
@@ -318,12 +312,10 @@ class FrameBuffer:
     ``memoryview`` of it (or the chunk itself when they coincide —
     the common case once the peer batches one frame per send), and
     only a frame spanning chunk boundaries pays one join of exactly
-    its own bytes.  This replaces both the byte-at-a-time header
-    ``recv(1)`` loop and the ``b"".join`` reassembly the threaded
-    readers used on the hot path.
+    its own bytes.
 
-    Not thread-safe: each connection's buffer is owned by one reader
-    (a channel's reader thread, or the event loop).
+    Not thread-safe: each connection's buffer is owned by the event
+    loop thread.
     """
 
     __slots__ = ("_chunks", "_offset", "_size")
@@ -401,142 +393,10 @@ class FrameBuffer:
         return b"".join(parts)
 
 
-class _GiopRequestHandler(socketserver.BaseRequestHandler):
-    """Serves one client connection for its lifetime.
-
-    Frames keep arriving on the same socket until the peer closes it
-    (keep-alive IIOP) — pooled clients amortise the TCP handshake over
-    many requests, per-call clients simply close after one frame.
-
-    On a **pipelined** transport the client may have many requests in
-    flight on this one socket, so frames are dispatched to a
-    per-connection worker pool: request processing (and the modelled
-    ``latency`` sleeps) overlaps, and replies go back as they finish —
-    possibly out of request order, which GIOP permits because clients
-    match replies by ``request_id``.  The pool's threads persist for
-    the connection's life (spawning a thread per frame costs more than
-    a small request round-trip).  A per-connection write lock keeps
-    concurrently-finished reply frames from interleaving on the wire.
-    """
-
-    def handle(self) -> None:
-        transport: TcpTransport = self.server.transport  # type: ignore[attr-defined]
-        endpoint = self.server.server_address  # type: ignore[attr-defined]
-        write_lock = threading.Lock()
-        workers: Optional[ThreadPoolExecutor] = None
-        in_flight: dict[Future, Any] = {}
-        if transport.pipelined:
-            workers = ThreadPoolExecutor(
-                max_workers=transport.connection_workers
-                or transport.pipeline_depth,
-                thread_name_prefix=f"giop-worker-{endpoint[1]}")
-        admission = transport.admission
-        try:
-            while True:
-                try:
-                    data = read_giop_frame(self.request)
-                except CommFailure:
-                    return  # peer closed (or died) between frames
-                handler = transport.handler_for((endpoint[0], endpoint[1]))
-                if handler is None:
-                    return
-                ticket = None
-                if admission.enabled:
-                    budget, traffic_class = peek_request_admission(data)
-                    ticket, reason = admission.enqueue(budget, traffic_class)
-                    if reason is not None:
-                        transport.metrics.record_shed(reason)
-                        self._send_busy(data, reason, write_lock)
-                        continue
-                if workers is not None:
-                    future = workers.submit(self._serve_one, transport,
-                                            handler, data, write_lock,
-                                            ticket)
-                    in_flight[future] = ticket
-
-                    # The abandon must happen *here*, not in a sweep
-                    # after shutdown(): this callback pops the future
-                    # from ``in_flight`` as soon as it settles, so a
-                    # later sweep would never see cancelled entries and
-                    # their queue slots would leak on the
-                    # transport-shared admission controller.
-                    def _settle(f: Future, t=ticket) -> None:
-                        in_flight.pop(f, None)
-                        if t is not None and f.cancelled():
-                            admission.abandon(t)
-
-                    future.add_done_callback(_settle)
-                else:
-                    self._serve_one(transport, handler, data, write_lock,
-                                    ticket)
-        finally:
-            if workers is not None:
-                # Drain, don't abandon: a dispatch already running may
-                # hold servant-side locks (journal group commit, the
-                # registry lock) — give it a bounded window to finish.
-                # Queued-but-unstarted frames are cancelled: their
-                # caller's connection is gone, the work is dead, and
-                # each one's done-callback abandons its admission
-                # ticket so the shared controller gets its slot back.
-                workers.shutdown(wait=False, cancel_futures=True)
-                pending = [future for future in list(in_flight)
-                           if not future.done()]
-                if pending:
-                    _wait_futures(pending, timeout=_DRAIN_TIMEOUT)
-
-    def _serve_one(self, transport: "TcpTransport", handler: Handler,
-                   data: bytes, write_lock: threading.Lock,
-                   ticket=None) -> None:
-        if ticket is not None:
-            reason = transport.admission.dequeue(ticket)
-            if reason is not None:
-                transport.metrics.record_shed(reason)
-                self._send_busy(data, reason, write_lock)
-                return
-        if transport.latency > 0:
-            time.sleep(transport.latency)
-        try:
-            reply = handler(data)
-        except Exception:  # noqa: BLE001 - undecodable frame: the
-            _close_quietly(self.request)  # stream is poisoned, drop it
-            return
-        if reply:
-            try:
-                with write_lock:
-                    self.request.sendall(reply)
-            except OSError:
-                _close_quietly(self.request)
-
-    def _send_busy(self, data: bytes, reason: str,
-                   write_lock: threading.Lock) -> None:
-        """Answer a shed request with a BUSY reply (cheap: no servant
-        dispatch, no modelled latency — shedding must cost less than
-        serving, or it cannot protect anything)."""
-        reply = busy_reply(data, reason)
-        if reply is None:
-            return  # oneway or unattributable: shed silently
-        try:
-            with write_lock:
-                self.request.sendall(reply)
-        except OSError:
-            _close_quietly(self.request)
-
-
 #: How long transport teardown waits for in-flight servant dispatches
 #: before giving up on them: long enough for a journal group commit,
 #: short enough that closing a transport never hangs a test run.
 _DRAIN_TIMEOUT = 2.0
-
-
-class _GiopServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # Parallel discovery fan-out opens bursts of simultaneous
-    # connections; the socketserver default backlog of 5 drops the
-    # overflow SYNs, stalling clients on kernel retransmit timers.
-    # This is only the default — ``TcpTransport(accept_backlog=...)``
-    # overrides it per instance before the listen socket activates.
-    request_queue_size = 64
 
 
 class _ConnectionPool:
@@ -593,12 +453,6 @@ class _ConnectionPool:
             _close_quietly(connection)
 
 
-#: Floor for the socket timeout on pipelined connections: reads happen
-#: in slices of at least this much, so a caller with a nearly-spent
-#: deadline cannot force a mid-frame timeout that would desync framing
-#: for every other request on the connection.
-_MIN_READ_SLICE = 0.1
-
 #: How much one recv pulls off a socket on the framed read paths.
 _RECV_SIZE = 256 * 1024
 
@@ -620,7 +474,7 @@ class _RequestIdBusy(Exception):
 
 
 class _PendingReply:
-    """One caller's wait slot: filled by the reader, or failed."""
+    """One caller's wait slot: filled by the event loop, or failed."""
 
     __slots__ = ("event", "frame", "error")
 
@@ -630,149 +484,10 @@ class _PendingReply:
         self.error: Optional[Exception] = None
 
 
-class _PipelinedChannel:
-    """One GIOP connection carrying multiple in-flight requests.
-
-    Callers ``submit`` a frame (serialized by a send lock) and receive
-    a wait slot; a dedicated reader thread reads reply frames as they
-    arrive — in whatever order the server finished them — and delivers
-    each to the slot whose ``request_id`` it answers.  A read error,
-    peer close, or unattributable frame kills the channel: every
-    pending caller is failed with the same cause (their replies can no
-    longer arrive on this stream), and the owning transport discards
-    only this stripe.
-    """
-
-    def __init__(self, endpoint: Endpoint, connection: socket.socket):
-        self.endpoint = endpoint
-        self._sock = connection
-        self._send_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._pending: dict[int, _PendingReply] = {}
-        self._dead: Optional[Exception] = None
-        self._closed = False
-        self._reader = threading.Thread(
-            target=self._read_loop, daemon=True,
-            name=f"giop-pipe-{endpoint[1]}")
-        self._reader.start()
-
-    @property
-    def dead(self) -> bool:
-        return self._dead is not None
-
-    def in_flight(self) -> int:
-        with self._state_lock:
-            return len(self._pending)
-
-    def submit(self, request_id: int, data: bytes,
-               timeout: float) -> tuple[_PendingReply, int]:
-        """Register *request_id* and send *data*; returns the wait slot
-        and the in-flight depth at submission (for metrics)."""
-        slot = _PendingReply()
-        with self._state_lock:
-            if self._dead is not None:
-                raise _ChannelDead(self._dead)
-            if request_id in self._pending:
-                raise _RequestIdBusy(request_id)
-            self._pending[request_id] = slot
-            depth = len(self._pending)
-        try:
-            with self._send_lock:
-                self._sock.settimeout(max(timeout, _MIN_READ_SLICE))
-                self._sock.sendall(data)
-        except OSError as exc:
-            # A failed (possibly partial) send poisons the framing for
-            # everything behind it: the whole channel is dead, but the
-            # error each pending caller sees names their own request.
-            self._forget(request_id)
-            self._kill(exc)
-            raise
-        return slot, depth
-
-    def cancel(self, request_id: int) -> None:
-        """Stop waiting for *request_id* (stall timeout): a late reply
-        for it will be read and dropped, keeping the stream in sync."""
-        self._forget(request_id)
-
-    def close(self) -> None:
-        self._closed = True
-        _close_quietly(self._sock)  # wakes the reader, which kills us
-
-    # ------------------------------------------------------------- internals --
-
-    def _forget(self, request_id: int) -> None:
-        with self._state_lock:
-            self._pending.pop(request_id, None)
-
-    def _kill(self, cause: Exception) -> None:
-        with self._state_lock:
-            if self._dead is None:
-                self._dead = cause
-            doomed = list(self._pending.values())
-            self._pending.clear()
-        for slot in doomed:
-            slot.error = cause
-            slot.event.set()
-        _close_quietly(self._sock)
-
-    def _read_loop(self) -> None:
-        # Frames are sliced out of a growable buffer fed by large
-        # recvs: the old implementation read the first header byte with
-        # recv(1) in a loop — one syscall per byte between frames.
-        # Timeouts while the buffer sits on a frame boundary are benign
-        # (an idle keep-alive connection); a timeout with a partial
-        # frame buffered is fatal, because the stream can no longer be
-        # resynchronised.
-        buffer = FrameBuffer()
-        try:
-            while True:
-                frame = buffer.next_frame()
-                if frame is None:
-                    try:
-                        chunk = self._sock.recv(_RECV_SIZE)
-                    except TimeoutError:
-                        if self._closed:
-                            raise CommFailure(
-                                "pipelined connection closed") from None
-                        if len(buffer):
-                            raise CommFailure(
-                                f"timed out mid-frame on pipelined "
-                                f"connection to {self.endpoint!r}") from None
-                        continue
-                    if not chunk:
-                        raise CommFailure("connection closed by peer")
-                    buffer.feed(chunk)
-                    continue
-                request_id = peek_reply_id(frame)
-                if request_id is None:
-                    raise CommFailure(
-                        f"unattributable frame on pipelined connection "
-                        f"to {self.endpoint!r}")
-                with self._state_lock:
-                    slot = self._pending.pop(request_id, None)
-                if slot is not None:
-                    slot.frame = frame
-                    slot.event.set()
-                # No slot: the caller cancelled (stall timeout) and the
-                # reply arrived late — drop it, framing stays in sync.
-        except (OSError, CommFailure, MarshalError) as exc:
-            self._kill(CommFailure(f"pipelined connection to "
-                                   f"{self.endpoint!r} broke: {exc}")
-                       if not isinstance(exc, CommFailure) else exc)
-
-
-#: Listen backlog for event-loop endpoints.  The loop drains accepts in
-#: a tight non-blocking burst, so a storm of connecting clients queues
+#: Default listen backlog per endpoint.  The loop drains accepts in a
+#: tight non-blocking burst, so a storm of connecting clients queues
 #: here instead of hitting kernel SYN retransmit timers.
-_LOOP_BACKLOG = 512
-
-
-def _loop_default() -> bool:
-    """Process-wide default for ``TcpTransport(loop=...)``: CI's
-    transport-mode matrix flips whole suites to the event loop by
-    exporting ``REPRO_TRANSPORT_LOOP=1`` without touching any test."""
-    return os.environ.get("REPRO_TRANSPORT_LOOP", "").lower() in (
-        "1", "true", "yes", "event-loop", "eventloop")
+_ACCEPT_BACKLOG = 512
 
 
 def _shed_default() -> bool:
@@ -1087,6 +802,8 @@ class _LoopServerConnection(_LoopStream):
         self.listener = listener
         self.endpoint = listener.endpoint
         self.buffer = FrameBuffer()
+        #: This connection's dispatches not yet settled.
+        self.futures: set[Future] = set()
 
     def on_readable(self) -> None:
         while True:
@@ -1120,6 +837,12 @@ class _LoopServerConnection(_LoopStream):
     def close(self) -> None:
         self.listener.connections.discard(self)
         self.close_stream()
+        # The caller is gone, so frames still queued behind busy
+        # workers are dead work.  Cancelling them runs their settle
+        # callback, which hands each admission ticket back to the
+        # transport-shared controller; running dispatches finish.
+        for future in list(self.futures):
+            future.cancel()
 
 
 class _LoopListener:
@@ -1174,15 +897,15 @@ class _LoopListener:
 class _LoopChannel(_LoopStream):
     """A pipelined client channel multiplexed on the event loop.
 
-    Duck-types :class:`_PipelinedChannel` (``submit`` / ``cancel`` /
-    ``close`` / ``dead`` / ``in_flight``) so the transport's stripe
-    checkout, overflow, and fault-attribution machinery is shared
-    verbatim between the threaded and event-loop modes.  The
-    differences: there is no reader thread (the loop delivers reply
-    frames), and the send happens asynchronously on the loop — so a
-    write failure surfaces through each pending caller's slot (the
-    same path as a mid-pipeline connection death) rather than as a
-    synchronous ``OSError`` from ``submit``.
+    Callers ``submit`` a frame and receive a wait slot; the loop sends
+    it, reads reply frames as they arrive — in whatever order the
+    server finished them — and delivers each to the slot whose
+    ``request_id`` it answers.  A read or write error, peer close, or
+    unattributable frame kills the channel: every pending caller is
+    failed with the same cause (their replies can no longer arrive on
+    this stream), and the owning transport discards only this stripe.
+    Because the send is asynchronous, a write failure surfaces through
+    each pending caller's slot rather than from ``submit``.
     """
 
     def __init__(self, loop: _EventLoop, endpoint: Endpoint,
@@ -1205,8 +928,10 @@ class _LoopChannel(_LoopStream):
         with self._state_lock:
             return len(self._pending)
 
-    def submit(self, request_id: int, data: bytes,
-               timeout: float) -> tuple[_PendingReply, int]:
+    def submit(self, request_id: int,
+               data: bytes) -> tuple[_PendingReply, int]:
+        """Register *request_id* and queue *data* for sending; returns
+        the wait slot and the in-flight depth at submission."""
         slot = _PendingReply()
         with self._state_lock:
             if self._dead_cause is not None:
@@ -1290,17 +1015,18 @@ class _LoopChannel(_LoopStream):
             f"pipelined connection to {self.endpoint!r} broke: {exc}"))
 
 
-#: Either pipelined-channel implementation; they share the submit /
-#: cancel / close / dead / in_flight contract.
-_AnyChannel = Union[_PipelinedChannel, _LoopChannel]
-
-
 class TcpTransport(Transport):
     """Real IIOP-over-TCP on localhost.
 
-    Each registered endpoint gets its own threaded TCP server.  By
-    default clients keep connections alive in a per-endpoint pool of at
-    most *pool_size* spares: a request checks a connection out, does its
+    Each registered endpoint gets a listening socket on the
+    transport's event loop, which also drives every accepted
+    connection; servant dispatch runs on a pool of *loop_workers*
+    threads shared by all endpoints, and *batch_flush* caps how many
+    queued bytes one flush coalesces into a single ``send`` (see
+    ``docs/event-loop.md``).
+
+    By default clients keep connections alive in a per-endpoint pool of
+    at most *pool_size* spares: a request checks a connection out, does its
     round-trip, and checks it back in, so the steady state costs zero
     TCP handshakes.  A pooled connection that has gone stale (the server
     restarted, the peer dropped it) is discarded — and the request is
@@ -1338,13 +1064,17 @@ class TcpTransport(Transport):
     ``stripes``/``pipeline_depth`` then act as tuning hints for the
     promoted regime (``stripes`` defaults to 4 in auto mode).
 
-    ``loop=True`` (or ``REPRO_TRANSPORT_LOOP=1``) selects the
-    event-loop I/O mode; ``loop_workers`` bounds the servant dispatch
-    pool and ``batch_flush`` caps how many queued bytes one flush
-    coalesces into a single ``send``.  See ``docs/event-loop.md``.
+    *loop* and *connection_workers* are accepted and ignored.  They
+    chose between this event loop and a thread-per-connection server
+    that no longer exists, and remain only so that callers written
+    against that choice keep constructing.
     """
 
     _instance_seq = itertools.count(1)
+
+    #: Every transport runs the event loop; kept for callers that read
+    #: the mode from the instance.
+    loop_enabled = True
 
     def __init__(self, host: str = "127.0.0.1", timeout: float = 5.0,
                  pooled: bool = True, pool_size: int = 8,
@@ -1377,25 +1107,15 @@ class TcpTransport(Transport):
         #: Simulated one-way WAN delay (seconds) applied server-side to
         #: every request.  The paper's federation spans Internet sites;
         #: loopback is the degenerate zero-latency case, so benches set
-        #: this to model realistic inter-site RTTs.  In threaded mode
-        #: the handler sleeps (releasing the GIL, so concurrent
-        #: requests overlap the delay); in event-loop mode the reply is
-        #: delayed on the loop's timer heap instead, so the wait
-        #: occupies no worker thread at all.
+        #: this to model realistic inter-site RTTs.  The reply is
+        #: delayed on the loop's timer heap, so the wait occupies no
+        #: worker thread at all.
         self.latency = latency
-        #: Event-loop mode, defaulting from ``REPRO_TRANSPORT_LOOP``.
-        self.loop_enabled = _loop_default() if loop is None else bool(loop)
         self.loop_workers = max(1, int(loop_workers))
         self.batch_flush = max(1, int(batch_flush))
         #: Listen backlog for every endpoint this transport binds.
-        #: Unset, the mode defaults apply (64 threaded, 512 loop).
-        self.accept_backlog = (None if accept_backlog is None
+        self.accept_backlog = (_ACCEPT_BACKLOG if accept_backlog is None
                                else max(1, int(accept_backlog)))
-        #: Per-connection dispatch pool size in threaded pipelined
-        #: mode.  Unset, it tracks ``pipeline_depth`` (the pre-existing
-        #: behaviour: enough workers that a full pipeline never queues).
-        self.connection_workers = (None if connection_workers is None
-                                   else max(1, int(connection_workers)))
         #: Server-side admission control, defaulting from
         #: ``REPRO_SHEDDING``.  Disabled, the controller is never
         #: consulted and the dispatch paths are byte-identical to a
@@ -1407,9 +1127,8 @@ class TcpTransport(Transport):
         #: promotion (2 = the first time any overlap is observed).
         self.auto_threshold = max(2, int(auto_threshold))
         self._pool = _ConnectionPool(max_idle=pool_size) if pooled else None
-        self._channels: dict[Endpoint, list[_AnyChannel]] = {}
+        self._channels: dict[Endpoint, list[_LoopChannel]] = {}
         self._channels_lock = threading.Lock()
-        self._servers: dict[Endpoint, _GiopServer] = {}
         self._listeners: dict[Endpoint, _LoopListener] = {}
         self._handlers: dict[Endpoint, Handler] = {}
         self._lock = threading.RLock()
@@ -1443,40 +1162,13 @@ class TcpTransport(Transport):
         # 1999 deployment resolved; on one machine every endpoint binds
         # the transport's local interface, and the OS-assigned port
         # keeps endpoints (and therefore IORs) distinct.
-        __, port = endpoint
-        if self.loop_enabled:
-            return self._register_loop(port, handler)
-        # bind_and_activate=False so the instance's accept backlog is
-        # in place before ``listen`` runs.
-        server = _GiopServer((self.host, port), _GiopRequestHandler,
-                             bind_and_activate=False)
-        if self.accept_backlog is not None:
-            server.request_queue_size = self.accept_backlog
-        try:
-            server.server_bind()
-            server.server_activate()
-        except OSError as exc:
-            server.server_close()
-            raise CommFailure(
-                f"cannot bind {(self.host, port)!r}: {exc}") from exc
-        server.transport = self  # type: ignore[attr-defined]
-        bound = (self.host, server.server_address[1])
-        with self._lock:
-            self._servers[bound] = server
-            self._handlers[bound] = handler
-        thread = threading.Thread(target=server.serve_forever,
-                                  name=f"giop-{bound[1]}", daemon=True)
-        thread.start()
-        return bound
-
-    def _register_loop(self, port: int, handler: Handler) -> Endpoint:
         # Bind synchronously (so the OS-assigned port is known before
         # returning), then hand the listener to the loop to accept on.
+        __, port = endpoint
         loop = self._ensure_loop()
         try:
-            sock = socket.create_server(
-                (self.host, port),
-                backlog=self.accept_backlog or _LOOP_BACKLOG)
+            sock = socket.create_server((self.host, port),
+                                        backlog=self.accept_backlog)
         except OSError as exc:
             raise CommFailure(
                 f"cannot bind {(self.host, port)!r}: {exc}") from exc
@@ -1495,7 +1187,6 @@ class TcpTransport(Transport):
 
     def unregister(self, endpoint: Endpoint) -> None:
         with self._lock:
-            server = self._servers.pop(endpoint, None)
             listener = self._listeners.pop(endpoint, None)
             self._handlers.pop(endpoint, None)
         if self._pool is not None:
@@ -1504,13 +1195,10 @@ class TcpTransport(Transport):
             channels = self._channels.pop(endpoint, [])
         for channel in channels:
             channel.close()
-        if server is not None:
-            server.shutdown()
-            server.server_close()
         if listener is not None and self._event_loop is not None:
             self._event_loop.call_soon_sync(listener.close)
 
-    # ---------------------------------------------------- event-loop server --
+    # ------------------------------------------------------------ server side --
 
     def _dispatch_loop_frame(self, connection: _LoopServerConnection,
                              frame: Frame) -> None:
@@ -1542,13 +1230,15 @@ class TcpTransport(Transport):
             connection.close()
             return
         self._loop_futures.add(future)
+        connection.futures.add(future)
 
-        # Mirrors the threaded path: a future cancelled by
-        # ``close()``'s shutdown(cancel_futures=True) never reaches
+        # A future cancelled by its connection's ``close()`` or by the
+        # transport's shutdown(cancel_futures=True) never reaches
         # ``_serve_loop_frame``, so its admission slot must be
         # released here or it leaks on the shared controller.
         def _settle(f: Future, t=ticket) -> None:
             self._loop_futures.discard(f)
+            connection.futures.discard(f)
             if t is not None and f.cancelled():
                 self.admission.abandon(t)
 
@@ -1583,7 +1273,7 @@ class TcpTransport(Transport):
                 loop.call_soon(connection.enqueue, reply)
 
     def server_thread_count(self) -> int:
-        """OS threads this transport's event-loop server side is using
+        """OS threads this transport's server side is using
         (the loop plus started workers) — what the storm bench bounds."""
         return sum(1 for thread in threading.enumerate()
                    if thread.name == self._loop_name
@@ -1749,7 +1439,7 @@ class TcpTransport(Transport):
                 self.metrics.record_overflow()
                 return self._send_serial(endpoint, data, timeout, deadline)
             try:
-                slot, depth = channel.submit(request_id, data, timeout)
+                slot, depth = channel.submit(request_id, data)
             except _RequestIdBusy:
                 # Another caller already has this id in flight here
                 # (hand-crafted frames can collide); never cross wires.
@@ -1763,11 +1453,6 @@ class TcpTransport(Transport):
                 raise CommFailure(
                     f"no live pipelined connection to {endpoint!r}: "
                     f"{exc.cause}") from exc.cause
-            except OSError as exc:
-                # The send itself failed — bytes may be on the wire.
-                self._drop_channel(endpoint, channel)
-                self._gate_resend(endpoint, exc, deadline)
-                return self._send_serial(endpoint, data, timeout, deadline)
             break
         self.metrics.record_connection(reused=not opened)
         self.metrics.record_pipeline(depth)
@@ -1802,7 +1487,7 @@ class TcpTransport(Transport):
 
     def _checkout_channel(self, endpoint: Endpoint, timeout: float,
                           deadline: Optional[Deadline]
-                          ) -> tuple[Optional[_AnyChannel], bool]:
+                          ) -> tuple[Optional[_LoopChannel], bool]:
         """The least-loaded live stripe for *endpoint* (opening a new
         one while under the stripe cap and all existing stripes are
         busy), as ``(channel, opened)``.  ``(None, False)`` means every
@@ -1830,23 +1515,19 @@ class TcpTransport(Transport):
                         f"deadline: {exc}") from exc
                 raise CommFailure(
                     f"IIOP connect to {endpoint!r} failed: {exc}") from exc
-            channel: _AnyChannel
-            if self.loop_enabled:
-                connection.setblocking(False)
-                try:
-                    connection.setsockopt(socket.IPPROTO_TCP,
-                                          socket.TCP_NODELAY, 1)
-                except OSError:  # pragma: no cover - not fatal
-                    pass
-                channel = _LoopChannel(self._ensure_loop(), endpoint,
-                                       connection)
-            else:
-                channel = _PipelinedChannel(endpoint, connection)
+            connection.setblocking(False)
+            try:
+                connection.setsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY, 1)
+            except OSError:  # pragma: no cover - not fatal
+                pass
+            channel = _LoopChannel(self._ensure_loop(), endpoint,
+                                   connection)
             channels.append(channel)
             return channel, True
 
     def _drop_channel(self, endpoint: Endpoint,
-                      channel: _AnyChannel) -> None:
+                      channel: _LoopChannel) -> None:
         """Discard one dead stripe.  Healthy sibling stripes — and the
         requests in flight on them — are untouched."""
         with self._channels_lock:
@@ -1913,15 +1594,15 @@ class TcpTransport(Transport):
             self._channels.clear()
         for channel in channels:
             channel.close()
-        for endpoint in list(self._servers) + list(self._listeners):
+        for endpoint in list(self._listeners):
             self.unregister(endpoint)
         with self._loop_lock:
             loop, self._event_loop = self._event_loop, None
             workers, self._workers = self._workers, None
         if workers is not None:
-            # Same teardown contract as the per-connection pools: let
-            # running dispatches finish within a bounded window (they
-            # may hold journal/registry locks), cancel the queued rest.
+            # Let running dispatches finish within a bounded window
+            # (they may hold journal/registry locks); cancel the queued
+            # rest, as a closing connection does with its own frames.
             workers.shutdown(wait=False, cancel_futures=True)
             pending = [future for future in list(self._loop_futures)
                        if not future.done()]

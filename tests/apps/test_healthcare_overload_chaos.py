@@ -1,8 +1,7 @@
 """Chaos acceptance: overload behaviour of the federation.
 
 Two scenarios, both seeded (``CHAOS_SEED``) and both honouring the
-transport-mode and shedding env switches the CI tier-2 matrix sweeps
-(``REPRO_TRANSPORT_LOOP``, ``REPRO_SHEDDING``):
+shedding env switch the CI tier-2 matrix sweeps (``REPRO_SHEDDING``):
 
 * **busy faults** — co-databases that shed every request with a BUSY
   reply must degrade discovery, not crash it, and the retry *budget*
@@ -100,13 +99,11 @@ class SlowEchoServant:
 def test_request_storm_respects_shedding_configuration(chaos_seed):
     """A burst at ~6x capacity: shed when asked to, stay inert when not.
 
-    Transport mode (threaded/event loop) and shedding come from the
-    environment, so the CI matrix drives all four combinations through
-    this one test body.
+    Shedding comes from the environment, so the CI matrix drives both
+    settings through this one test body.
     """
     transport = TcpTransport(pipelined=True, stripes=1,
                              pipeline_depth=2 * STORM_CLIENTS,
-                             connection_workers=WORKERS,
                              loop_workers=WORKERS, timeout=5.0)
     budget = RetryBudget(ratio=RETRY_RATIO, burst=10.0)
     outcomes = {"ok": 0, "shed": 0, "expired": 0, "comm": 0}

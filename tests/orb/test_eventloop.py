@@ -1,4 +1,4 @@
-"""Event-loop transport mode: loop mechanics, batching, auto
+"""The TCP transport's event loop: loop mechanics, batching, auto
 pipelining, and metrics safety under mixed loop/worker access."""
 
 import socket
@@ -18,7 +18,7 @@ class EchoServant:
 
 
 def _echo_deployment(**transport_kwargs):
-    transport = TcpTransport(loop=True, **transport_kwargs)
+    transport = TcpTransport(**transport_kwargs)
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     ior = orb.activate(EchoServant(), ECHO, object_name="echo")
     return transport, orb, orb.proxy(ior, ECHO)
@@ -103,16 +103,6 @@ def test_unregister_closes_loop_listener():
             socket.create_connection(endpoint, timeout=0.5)
     finally:
         transport.close()
-
-
-def test_env_variable_flips_default_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_TRANSPORT_LOOP", "1")
-    assert TcpTransport().loop_enabled
-    monkeypatch.setenv("REPRO_TRANSPORT_LOOP", "0")
-    assert not TcpTransport().loop_enabled
-    monkeypatch.delenv("REPRO_TRANSPORT_LOOP")
-    assert not TcpTransport().loop_enabled
-    assert TcpTransport(loop=True).loop_enabled
 
 
 # ---------------------------------------------------------- frame batching --
@@ -202,13 +192,11 @@ class BarrierEchoServant:
         return value
 
 
-@pytest.mark.parametrize("loop", [False, True],
-                         ids=["threaded", "event-loop"])
-def test_auto_mode_flips_serial_to_striped_deterministically(loop):
+def test_auto_mode_flips_serial_to_striped_deterministically():
     """Two calls forced to overlap (the servant's barrier needs both in
     flight to release either) promote the endpoint exactly once; a lone
     serial call beforehand does not."""
-    transport = TcpTransport(loop=loop, pipelined="auto")
+    transport = TcpTransport(pipelined="auto")
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     try:
         servant = BarrierEchoServant(parties=2)

@@ -129,9 +129,7 @@ def test_non_giop_stream_poisons_instead_of_misframing(noise):
         buffer.next_frame()
 
 
-@pytest.mark.parametrize("loop", [False, True],
-                         ids=["threaded", "event-loop"])
-def test_server_survives_dribbled_request_on_the_wire(loop):
+def test_server_survives_dribbled_request_on_the_wire():
     """End-to-end: a request trickled onto a live server socket a few
     bytes at a time still gets exactly its reply."""
 
@@ -139,7 +137,7 @@ def test_server_survives_dribbled_request_on_the_wire(loop):
         def echo(self, value):
             return value
 
-    transport = TcpTransport(loop=loop)
+    transport = TcpTransport()
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     try:
         orb.activate(Echo(), ECHO, object_name="echo")
@@ -157,9 +155,7 @@ def test_server_survives_dribbled_request_on_the_wire(loop):
         transport.close()
 
 
-@pytest.mark.parametrize("loop", [False, True],
-                         ids=["threaded", "event-loop"])
-def test_interleaved_dribblers_are_not_cross_wired(loop):
+def test_interleaved_dribblers_are_not_cross_wired():
     """Several clients dribbling concurrently: each one's reply
     carries its own request id."""
 
@@ -167,7 +163,7 @@ def test_interleaved_dribblers_are_not_cross_wired(loop):
         def echo(self, value):
             return value
 
-    transport = TcpTransport(loop=loop)
+    transport = TcpTransport()
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     results = {}
     try:

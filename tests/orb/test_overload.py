@@ -1,7 +1,8 @@
 """Admission control: the controller, the wire protocol, and shedding
-end-to-end over both transport dispatch paths."""
+end-to-end over the TCP transport's dispatch path."""
 
 import socket
+import sys
 import threading
 import time
 
@@ -216,11 +217,8 @@ def _always_shedding_policy():
 
 
 class TestSheddingOverTcp:
-    @pytest.mark.parametrize("loop", [False, True],
-                             ids=["threaded", "event-loop"])
-    def test_overloaded_server_sheds_with_server_busy(self, loop):
-        transport = TcpTransport(loop=loop,
-                                 overload=_always_shedding_policy())
+    def test_overloaded_server_sheds_with_server_busy(self):
+        transport = TcpTransport(overload=_always_shedding_policy())
         try:
             server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
             client = create_orb(VISIBROKER, transport, host="127.0.0.1",
@@ -233,11 +231,8 @@ class TestSheddingOverTcp:
         finally:
             transport.close()
 
-    @pytest.mark.parametrize("loop", [False, True],
-                             ids=["threaded", "event-loop"])
-    def test_shedding_disabled_is_inert(self, loop):
-        transport = TcpTransport(loop=loop,
-                                 overload=OverloadPolicy(shed=False))
+    def test_shedding_disabled_is_inert(self):
+        transport = TcpTransport(overload=OverloadPolicy(shed=False))
         try:
             server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
             client = create_orb(VISIBROKER, transport, host="127.0.0.1",
@@ -255,9 +250,7 @@ class TestSheddingOverTcp:
         # a dead one — the call moves on instead of crashing.
         assert issubclass(ServerBusy, CommFailure)
 
-    @pytest.mark.parametrize("loop", [False, True],
-                             ids=["threaded", "event-loop"])
-    def test_close_drains_in_flight_dispatches(self, loop):
+    def test_close_drains_in_flight_dispatches(self):
         """Teardown must not abandon a dispatch mid-servant (it may be
         holding journal locks): close() waits out in-flight work."""
         finished = threading.Event()
@@ -268,7 +261,7 @@ class TestSheddingOverTcp:
                 finished.set()
                 return value
 
-        transport = TcpTransport(loop=loop, pipelined=True, stripes=1)
+        transport = TcpTransport(pipelined=True, stripes=1)
         server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
         client = create_orb(VISIBROKER, transport, host="127.0.0.1", port=0)
         proxy = client.proxy(server.activate(SlowServant(), ECHO), ECHO)
@@ -302,7 +295,7 @@ class TestSheddingOverTcp:
         policy = OverloadPolicy(shed=True, queue_limit=64,
                                 codel_target=10.0, codel_interval=10.0)
         transport = TcpTransport(pipelined=True, stripes=1,
-                                 connection_workers=1, overload=policy)
+                                 loop_workers=1, overload=policy)
         try:
             server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
             client = create_orb(VISIBROKER, transport, host="127.0.0.1",
@@ -327,18 +320,17 @@ class TestSheddingOverTcp:
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             assert transport.admission.snapshot()["pending"] == 3
-            # Kill the connection under the server (a plain close would
-            # not surface until the blocked reader thread wakes): the
-            # handler tears down its pool while the worker is still
-            # busy, so the three queued frames get *cancelled*.
+            # Kill the connection under the server: it closes while
+            # the worker is still busy, so the three queued frames get
+            # *cancelled*.
             with transport._channels_lock:
                 channels = [channel for stripes
                             in transport._channels.values()
                             for channel in stripes]
             assert channels, "expected an open pipelined channel"
             for channel in channels:
-                channel._sock.shutdown(socket.SHUT_RDWR)
-            # Teardown runs in the handler thread: poll for the
+                channel.sock.shutdown(socket.SHUT_RDWR)
+            # Teardown runs on the loop thread: poll for the
             # cancelled frames' tickets to be abandoned.  The worker
             # stays blocked throughout, so dequeue cannot be the one
             # releasing them.
@@ -354,6 +346,73 @@ class TestSheddingOverTcp:
             transport.close()
         for caller in callers:
             caller.join(timeout=2.0)
+
+    def test_killed_stripes_under_load_cancel_queued_work(self):
+        """Stress: 64 callers on four stripes queue far more frames than
+        four busy workers can take; killing every stripe must cancel
+        the queued rest (admitted exceeds what the servant ran) and
+        leak no admission ticket."""
+        ran = []
+
+        class SlowServant:
+            def echo(self, value):
+                time.sleep(0.02)
+                ran.append(value)
+                return value
+
+        policy = OverloadPolicy(shed=True, queue_limit=4096,
+                                codel_target=10.0, codel_interval=10.0)
+        transport = TcpTransport(pipelined=True, stripes=4,
+                                 pipeline_depth=64, loop_workers=4,
+                                 overload=policy)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+            client = create_orb(VISIBROKER, transport, host="127.0.0.1",
+                                port=0)
+            proxy = client.proxy(server.activate(SlowServant(), ECHO), ECHO)
+
+            barrier = threading.Barrier(64)
+
+            def fire(index):
+                barrier.wait(timeout=5.0)
+                try:
+                    proxy.echo(index)
+                except CommFailure:
+                    pass  # killed under us: expected
+
+            callers = [threading.Thread(target=fire, args=(index,),
+                                        daemon=True)
+                       for index in range(64)]
+            for caller in callers:
+                caller.start()
+            deadline = time.monotonic() + 5.0
+            while (transport.admission.snapshot()["pending"] < 16
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            with transport._channels_lock:
+                channels = [channel for stripes
+                            in transport._channels.values()
+                            for channel in stripes]
+            for channel in channels:
+                channel.sock.shutdown(socket.SHUT_RDWR)
+            for caller in callers:
+                caller.join(timeout=10.0)
+            assert not any(caller.is_alive() for caller in callers)
+            deadline = time.monotonic() + 5.0
+            while (transport.admission.snapshot()["pending"] > 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            # Let the dispatches already running finish, so every
+            # frame not cancelled has run before counting.
+            transport.close()
+            snapshot = transport.admission.snapshot()
+            assert snapshot["pending"] == 0
+            assert snapshot["admitted"] > len(ran)
+        finally:
+            sys.setswitchinterval(previous)
+            transport.close()
 
 
 class TestBusyFaultRule:

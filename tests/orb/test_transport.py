@@ -1,6 +1,7 @@
 """Transport tests: in-memory fabric metrics and real TCP IIOP."""
 
 import threading
+import time
 
 import pytest
 
@@ -109,6 +110,21 @@ class TestTcpTransport:
             assert transport.metrics.messages_sent == 1
         finally:
             transport.close()
+
+    def test_endpoint_churn_and_close_are_fast(self):
+        """Teardown is bounded and fast: binding and releasing 20
+        endpoints, then closing the transport, waits on no poll
+        interval — replica kills, restarts and shutdowns pay for it."""
+        start = time.monotonic()
+        transport = TcpTransport()
+        try:
+            for __ in range(20):
+                endpoint = transport.register(("127.0.0.1", 0),
+                                              lambda data: data)
+                transport.unregister(endpoint)
+        finally:
+            transport.close()
+        assert time.monotonic() - start < 1.0
 
 
 class TestTransportMetricsThreadSafety:

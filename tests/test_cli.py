@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.healthcare import topology as topo
 from repro.cli import Shell, main
+from repro.orb import TcpTransport
 
 
 @pytest.fixture()
@@ -102,6 +103,25 @@ class TestMain:
         main(["--home", "Royal Brisbane Hospital",
               "-s", "Display Instances of Class Medical"], output=output)
         assert "Prince Charles Hospital" in output.getvalue()
+
+    def test_tcp_statement_answers_over_the_event_loop(self, monkeypatch):
+        seen = {}
+        close = TcpTransport.close
+
+        def observed_close(transport):
+            seen["messages"] = transport.metrics.snapshot()["messages_sent"]
+            # The loop thread plus at least one dispatch worker.
+            seen["server_threads"] = transport.server_thread_count()
+            close(transport)
+
+        monkeypatch.setattr(TcpTransport, "close", observed_close)
+        output = io.StringIO()
+        code = main(["--tcp", "-s", "Find Coalitions With Information "
+                                    "Medical Research"], output=output)
+        assert code == 0
+        assert "Research" in output.getvalue()
+        assert seen["messages"] > 0
+        assert seen["server_threads"] >= 2
 
     def test_stream_mode(self):
         output = io.StringIO()
