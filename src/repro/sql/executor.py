@@ -6,24 +6,29 @@ SELECT processing follows the textbook pipeline::
     row source (planner) -> WHERE -> GROUP BY/aggregate -> HAVING
         -> projection -> DISTINCT -> ORDER BY -> LIMIT/OFFSET
 
-Correlated subqueries work by chaining row environments: a subquery is
-executed with the enclosing row's environment as its outer scope.
+Every expression an operator evaluates per row is compiled once, when
+the operator starts, into a closure over the row tuple
+(:class:`~repro.sql.expressions.Compiler`).  Correlated subqueries run
+with the enclosing row as their outer :class:`~repro.sql.expressions.Scope`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import operator
+from typing import Any, Callable, Optional
 
 from repro.errors import CatalogError, IntegrityError, SqlError
 from repro.sql import ast
-from repro.sql.expressions import (Environment, Evaluator, Header,
-                                   collect_aggregates, is_truthy)
+from repro.sql.expressions import (Compiler, Header, RowFn, Scope,
+                                   collect_aggregates)
 from repro.sql.functions import AGGREGATE_FUNCTIONS, CountAggregate
 from repro.sql.planner import (DerivedTable, HashJoin, IndexLookup,
                                NestedLoopJoin, Planner, RowSource, TableScan)
 from repro.sql.result import ResultSet
 
 Relation = tuple[Header, list[tuple]]
+#: ``(input_row, output_row) -> sort key`` for one ORDER BY item.
+KeyFn = Callable[[tuple, tuple], Any]
 
 _EMPTY_HEADER = Header([])
 _EMPTY_ENV_ROW: tuple = ()
@@ -35,8 +40,7 @@ class Executor:
     def __init__(self, engine, params: Optional[list[Any]] = None):
         self._engine = engine
         self._planner = Planner(engine)
-        self._evaluator = Evaluator(subquery_executor=self._run_subquery,
-                                    params=params)
+        self._params = params or []
         #: Number of index lookups chosen by the planner during this
         #: statement — surfaced for tests and benchmarks.
         self.index_lookups = 0
@@ -46,7 +50,7 @@ class Executor:
     def execute(self, statement: ast.Statement) -> ResultSet:
         """Execute any supported statement, returning a :class:`ResultSet`."""
         if isinstance(statement, (ast.Select, ast.Union)):
-            header, rows = self.execute_query(statement, outer_env=None)
+            header, rows = self.execute_query(statement, outer=None)
             return ResultSet(columns=header.column_names, rows=rows)
         if isinstance(statement, ast.Insert):
             return ResultSet.empty(self._insert(statement))
@@ -57,34 +61,43 @@ class Executor:
         raise SqlError(f"executor cannot run {type(statement).__name__}")
 
     def execute_query(self, statement: ast.Statement,
-                      outer_env: Optional[Environment]) -> Relation:
+                      outer: Optional[Scope]) -> Relation:
         """Execute a SELECT or UNION tree, returning header + rows."""
         if isinstance(statement, ast.Union):
-            return self._execute_union(statement, outer_env)
+            return self._execute_union(statement, outer)
         assert isinstance(statement, ast.Select)
-        return self._execute_select(statement, outer_env)
+        return self._execute_select(statement, outer)
+
+    def _compiler(self, header: Header, outer: Optional[Scope],
+                  aggregates: Optional[dict[int, int]] = None) -> Compiler:
+        return Compiler(header, outer, self._params, self._run_subquery,
+                        aggregates)
 
     # -------------------------------------------------------------- subquery --
 
-    def _run_subquery(self, select: ast.Select,
-                      outer_env: Environment) -> list[tuple]:
-        __, rows = self._execute_select(select, outer_env)
+    def _run_subquery(self, select: ast.Select, outer: Scope) -> list[tuple]:
+        __, rows = self._execute_select(select, outer)
         return rows
 
     # ----------------------------------------------------------------- UNION --
 
     def _execute_union(self, union: ast.Union,
-                       outer_env: Optional[Environment]) -> Relation:
-        left_header, left_rows = self.execute_query(union.left, outer_env)
-        right_header, right_rows = self.execute_query(union.right, outer_env)
+                       outer: Optional[Scope]) -> Relation:
+        left_header, left_rows = self.execute_query(union.left, outer)
+        right_header, right_rows = self.execute_query(union.right, outer)
         if len(left_header) != len(right_header):
             raise SqlError("UNION operands have different column counts")
         rows = list(left_rows) + list(right_rows)
         if not union.all:
             rows = _dedupe(rows)
-        header = Header([(None, name) for name in left_header.column_names])
+        names = left_header.column_names
+        header = Header([(None, name) for name in names])
         if union.order_by:
-            rows = self._sort_output_rows(header, rows, union.order_by, outer_env)
+            # The output row is also the row ORDER BY expressions see.
+            key_fns = self._order_key_fns(union.order_by,
+                                          self._compiler(header, outer), names)
+            rows = _sort_rows(rows, [[key(row, row) for key in key_fns]
+                                     for row in rows], union.order_by)
         if union.limit is not None:
             limit = self._constant_int(union.limit, "LIMIT")
             rows = rows[:limit]
@@ -93,7 +106,7 @@ class Executor:
     # ---------------------------------------------------------------- SELECT --
 
     def _execute_select(self, select: ast.Select,
-                        outer_env: Optional[Environment]) -> Relation:
+                        outer: Optional[Scope]) -> Relation:
         plan = self._planner.plan(select)
         if plan.used_index:
             self.index_lookups += 1
@@ -101,35 +114,30 @@ class Executor:
             input_header = _EMPTY_HEADER
             input_rows: list[tuple] = [_EMPTY_ENV_ROW]
         else:
-            input_header, input_rows = self._materialize(plan.source, outer_env)
+            input_header, input_rows = self._materialize(plan.source, outer)
+        compiler = self._compiler(input_header, outer)
         if plan.residual_where is not None:
-            input_rows = [
-                row for row in input_rows
-                if is_truthy(self._evaluator.evaluate(
-                    plan.residual_where,
-                    Environment(input_header, row, outer_env)))
-            ]
+            predicate = compiler.compile(plan.residual_where)
+            input_rows = [row for row in input_rows if predicate(row) is True]
 
+        names = self._output_columns(select, input_header)
         aggregates = self._collect_select_aggregates(select)
         if select.group_by or aggregates:
-            header, out_rows = self._aggregate(
-                select, input_header, input_rows, aggregates, outer_env)
+            rows, keys = self._aggregate(select, compiler, input_rows,
+                                         aggregates, names)
         else:
-            header, out_rows = self._project(
-                select, input_header, input_rows, outer_env)
+            rows, keys = self._project(select, compiler, input_rows, names)
 
         if select.distinct:
-            out_rows = [pair for pair in _dedupe_keyed(out_rows)]
-
+            rows, keys = _dedupe_keyed(rows, keys)
         if select.order_by:
-            out_rows = self._apply_order(out_rows, select.order_by)
-        rows = [row for row, __ in out_rows]
+            rows = _sort_rows(rows, keys, select.order_by)
 
         if select.offset is not None:
             rows = rows[self._constant_int(select.offset, "OFFSET"):]
         if select.limit is not None:
             rows = rows[:self._constant_int(select.limit, "LIMIT")]
-        return header, rows
+        return Header([(None, name) for name in names]), rows
 
     # -- projection ------------------------------------------------------------
 
@@ -153,37 +161,48 @@ class Executor:
                 names.append(_derive_name(item.expression))
         return names
 
-    def _project_row(self, select: ast.Select, env: Environment) -> tuple:
-        values: list[Any] = []
-        for item in select.items:
-            if isinstance(item.expression, ast.Star):
-                if item.expression.table is None:
-                    values.extend(env.row)
-                else:
-                    positions = env.header.positions_for_binding(
-                        item.expression.table)
-                    if not positions:
-                        raise CatalogError(
-                            f"unknown table {item.expression.table!r} in select list")
-                    values.extend(env.row[i] for i in positions)
+    def _projector(self, select: ast.Select,
+                   compiler: Compiler) -> Optional[Callable[[tuple], tuple]]:
+        """``row -> output row`` for the select list, or None when the
+        output row is the input row itself (a bare ``SELECT *``)."""
+        header = compiler.header
+        items = select.items
+        if (len(items) == 1 and isinstance(items[0].expression, ast.Star)
+                and items[0].expression.table is None
+                and not compiler.aggregates):
+            return None
+        columns: list[RowFn] = []
+        slots: list[Optional[int]] = []
+        for item in items:
+            expression = item.expression
+            if isinstance(expression, ast.Star):
+                positions = (range(len(header)) if expression.table is None
+                             else header.positions_for_binding(expression.table))
+                columns.extend(operator.itemgetter(i) for i in positions)
+                slots.extend(positions)
             else:
-                values.append(self._evaluator.evaluate(item.expression, env))
-        return tuple(values)
+                columns.append(compiler.compile(expression))
+                slots.append(compiler.slot(expression))
+        if len(slots) > 1 and None not in slots:
+            return operator.itemgetter(*slots)
+        if len(columns) == 1:
+            only = columns[0]
+            return lambda row: (only(row),)
+        return lambda row: tuple([column(row) for column in columns])
 
-    def _project(self, select: ast.Select, input_header: Header,
-                 input_rows: list[tuple],
-                 outer_env: Optional[Environment]
-                 ) -> tuple[Header, list[tuple[tuple, list[Any]]]]:
-        """Project rows; returns (header, [(output_row, sort_keys)])."""
-        names = self._output_columns(select, input_header)
-        header = Header([(None, name) for name in names])
-        out: list[tuple[tuple, list[Any]]] = []
-        for row in input_rows:
-            env = Environment(input_header, row, outer_env)
-            output = self._project_row(select, env)
-            keys = self._order_keys(select, env, output, names)
-            out.append((output, keys))
-        return header, out
+    def _project(self, select: ast.Select, compiler: Compiler,
+                 input_rows: list[tuple], names: list[str]
+                 ) -> tuple[list[tuple], list[list[Any]]]:
+        """Project rows; returns (output rows, their ORDER BY keys)."""
+        project = self._projector(select, compiler)
+        rows = (input_rows if project is None
+                else [project(row) for row in input_rows])
+        keys: list[list[Any]] = []
+        if select.order_by:
+            key_fns = self._order_key_fns(select.order_by, compiler, names)
+            keys = [[key(row, output) for key in key_fns]
+                    for row, output in zip(input_rows, rows)]
+        return rows, keys
 
     # -- aggregation ------------------------------------------------------------
 
@@ -198,62 +217,55 @@ class Executor:
             found.extend(collect_aggregates(order.expression))
         return found
 
-    def _aggregate(self, select: ast.Select, input_header: Header,
+    def _aggregate(self, select: ast.Select, compiler: Compiler,
                    input_rows: list[tuple],
-                   aggregate_nodes: list[ast.FunctionCall],
-                   outer_env: Optional[Environment]
-                   ) -> tuple[Header, list[tuple[tuple, list[Any]]]]:
-        names = self._output_columns(select, input_header)
-        header = Header([(None, name) for name in names])
-        group_exprs = [self._resolve_group_alias(expr, select, input_header)
-                       for expr in select.group_by]
+                   aggregate_nodes: list[ast.FunctionCall], names: list[str]
+                   ) -> tuple[list[tuple], list[list[Any]]]:
+        input_header = compiler.header
+        group_fns = [compiler.compile(
+                         self._resolve_group_alias(expr, select, input_header))
+                     for expr in select.group_by]
+        feeds = [self._feed(node, compiler) for node in aggregate_nodes]
 
-        groups: dict[tuple, dict[str, Any]] = {}
-        order_of_groups: list[tuple] = []
+        groups: dict[tuple, tuple[tuple, list]] = {}
         for row in input_rows:
-            env = Environment(input_header, row, outer_env)
-            key = tuple(self._evaluator.evaluate(expr, env)
-                        for expr in group_exprs)
+            key = tuple([group(row) for group in group_fns])
             state = groups.get(key)
             if state is None:
-                state = {
-                    "row": row,
-                    "accumulators": [self._make_accumulator(node)
-                                     for node in aggregate_nodes],
-                }
+                state = (row, [self._make_accumulator(node)
+                               for node in aggregate_nodes])
                 groups[key] = state
-                order_of_groups.append(key)
-            for node, accumulator in zip(aggregate_nodes, state["accumulators"]):
-                self._feed(node, accumulator, env)
+            for feed, accumulator in zip(feeds, state[1]):
+                accumulator.add(feed(row))
 
         if not select.group_by and not groups:
             # Aggregates over an empty input still yield one row.
-            groups[()] = {
-                "row": None,
-                "accumulators": [self._make_accumulator(node)
-                                 for node in aggregate_nodes],
-            }
-            order_of_groups.append(())
+            groups[()] = (tuple([None] * len(input_header)),
+                          [self._make_accumulator(node)
+                           for node in aggregate_nodes])
 
-        out: list[tuple[tuple, list[Any]]] = []
-        for key in order_of_groups:
-            state = groups[key]
-            agg_values = {
-                id(node): accumulator.result()
-                for node, accumulator in zip(aggregate_nodes,
-                                             state["accumulators"])
-            }
-            representative = state["row"]
-            row = representative if representative is not None \
-                else tuple([None] * len(input_header))
-            env = Environment(input_header, row, outer_env, aggregates=agg_values)
-            if select.having is not None:
-                if not is_truthy(self._evaluator.evaluate(select.having, env)):
-                    continue
-            output = self._project_row(select, env)
-            keys = self._order_keys(select, env, output, names)
-            out.append((output, keys))
-        return header, out
+        # After grouping, each group is its first input row extended with
+        # the group's aggregate values, which compiled aggregate
+        # references read by slot.
+        width = len(input_header)
+        grouped = self._compiler(
+            input_header, compiler.outer,
+            {id(node): width + i for i, node in enumerate(aggregate_nodes)})
+        having = (grouped.compile(select.having)
+                  if select.having is not None else None)
+        project = self._projector(select, grouped)
+        key_fns = self._order_key_fns(select.order_by, grouped, names)
+        rows: list[tuple] = []
+        keys: list[list[Any]] = []
+        for representative, accumulators in groups.values():
+            row = representative + tuple([accumulator.result()
+                                          for accumulator in accumulators])
+            if having is not None and having(row) is not True:
+                continue
+            output = project(row)
+            rows.append(output)
+            keys.append([key(row, output) for key in key_fns])
+        return rows, keys
 
     def _resolve_group_alias(self, expression: ast.Expression,
                              select: ast.Select,
@@ -282,128 +294,116 @@ class Executor:
             return CountAggregate(distinct=node.distinct, count_star=count_star)
         return cls(distinct=node.distinct)
 
-    def _feed(self, node: ast.FunctionCall, accumulator, env: Environment) -> None:
-        if isinstance(accumulator, CountAggregate) and (
+    def _feed(self, node: ast.FunctionCall, compiler: Compiler) -> RowFn:
+        """``row -> value`` an aggregate's accumulator is fed per row."""
+        if AGGREGATE_FUNCTIONS[node.name] is CountAggregate and (
                 not node.args or isinstance(node.args[0], ast.Star)):
-            accumulator.add(1)
-            return
+            return lambda row: 1
         if not node.args:
-            raise SqlError(f"aggregate {node.name} requires an argument")
-        accumulator.add(self._evaluator.evaluate(node.args[0], env))
+            message = f"aggregate {node.name} requires an argument"
+
+            def missing(row: tuple) -> Any:
+                raise SqlError(message)
+            return missing
+        return compiler.compile(node.args[0])
 
     # -- ordering ----------------------------------------------------------------
 
-    def _order_keys(self, select: ast.Select, env: Environment,
-                    output: tuple, names: list[str]) -> list[Any]:
-        """Evaluate ORDER BY keys for one produced row.
+    def _order_key_fns(self, order_by: list[ast.OrderItem],
+                       compiler: Compiler, names: list[str]) -> list[KeyFn]:
+        """One ``(input_row, output_row) -> key`` function per ORDER BY item.
 
-        Resolution order per SQL custom: output ordinal (integer literal),
-        then output alias, then any expression over the input row.
+        Resolution order per SQL custom: output ordinal (integer literal,
+        not a boolean), then output alias, then any expression over the
+        input row.
         """
-        keys: list[Any] = []
-        for item in select.order_by:
+        key_fns: list[KeyFn] = []
+        for item in order_by:
             expr = item.expression
             if isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
                     and not isinstance(expr.value, bool):
                 position = expr.value - 1
-                if position < 0 or position >= len(output):
-                    raise SqlError(f"ORDER BY position {expr.value} out of range")
-                keys.append(output[position])
+                if 0 <= position < len(names):
+                    key_fns.append(_output_key(position))
+                else:
+                    key_fns.append(_out_of_range(expr.value))
                 continue
             if isinstance(expr, ast.ColumnRef) and expr.table is None:
                 lowered = expr.name.lower()
                 matches = [i for i, name in enumerate(names)
                            if name.lower() == lowered]
                 if len(matches) == 1:
-                    keys.append(output[matches[0]])
+                    key_fns.append(_output_key(matches[0]))
                     continue
-            keys.append(self._evaluator.evaluate(expr, env))
-        return keys
-
-    def _apply_order(self, keyed_rows: list[tuple[tuple, list[Any]]],
-                     order_by: list[ast.OrderItem]
-                     ) -> list[tuple[tuple, list[Any]]]:
-        result = list(keyed_rows)
-        # Stable-sort from the least-significant key to the most.
-        for position in range(len(order_by) - 1, -1, -1):
-            ascending = order_by[position].ascending
-            result.sort(key=lambda pair: _null_aware_key(pair[1][position]),
-                        reverse=not ascending)
-        return result
-
-    def _sort_output_rows(self, header: Header, rows: list[tuple],
-                          order_by: list[ast.OrderItem],
-                          outer_env: Optional[Environment]) -> list[tuple]:
-        keyed: list[tuple[tuple, list[Any]]] = []
-        for row in rows:
-            env = Environment(header, row, outer_env)
-            keys = []
-            for item in order_by:
-                expr = item.expression
-                if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                    keys.append(row[expr.value - 1])
-                else:
-                    keys.append(self._evaluator.evaluate(expr, env))
-            keyed.append((row, keys))
-        return [row for row, __ in self._apply_order(keyed, order_by)]
+            key_fns.append(_input_key(compiler.compile(expr)))
+        return key_fns
 
     # ------------------------------------------------------------- row sources --
 
     def _materialize(self, source: RowSource,
-                     outer_env: Optional[Environment]) -> Relation:
+                     outer: Optional[Scope]) -> Relation:
         if isinstance(source, TableScan):
             table = self._engine.table_for(source.table)
             header = Header([(source.binding, name)
                              for name in table.schema.column_names])
             return header, [tuple(row) for __, row in table.scan()]
         if isinstance(source, IndexLookup):
-            return self._materialize_index_lookup(source, outer_env)
+            return self._materialize_index_lookup(source, outer)
         if isinstance(source, DerivedTable):
-            sub_header, sub_rows = self.execute_query(source.select, outer_env)
+            sub_header, sub_rows = self.execute_query(source.select, outer)
             header = Header([(source.binding, name)
                              for name in sub_header.column_names])
             return header, sub_rows
         if isinstance(source, HashJoin):
-            return self._materialize_hash_join(source, outer_env)
+            return self._materialize_hash_join(source, outer)
         if isinstance(source, NestedLoopJoin):
-            return self._materialize_nested_loop(source, outer_env)
+            return self._materialize_nested_loop(source, outer)
         raise SqlError(f"cannot materialize {type(source).__name__}")
 
     def _materialize_index_lookup(self, source: IndexLookup,
-                                  outer_env: Optional[Environment]) -> Relation:
+                                  outer: Optional[Scope]) -> Relation:
         table = self._engine.table_for(source.table)
         header = Header([(source.binding, name)
                          for name in table.schema.column_names])
-        env = Environment(_EMPTY_HEADER, _EMPTY_ENV_ROW, outer_env)
-        key = tuple(self._evaluator.evaluate(expr, env) for expr in source.keys)
+        key = self._key_fn(source.keys,
+                           self._compiler(_EMPTY_HEADER, outer))(_EMPTY_ENV_ROW)
         index = table.index_on(source.columns)
         if index is None:  # index dropped between planning and execution
             return header, [tuple(row) for __, row in table.scan()]
         row_ids = sorted(index.lookup(key))
         return header, [tuple(table.row(row_id)) for row_id in row_ids]
 
+    def _key_fn(self, expressions: list[ast.Expression],
+                compiler: Compiler) -> Callable[[tuple], tuple]:
+        """``row -> tuple`` of the compiled *expressions*."""
+        parts = [compiler.compile(expr) for expr in expressions]
+        if len(parts) == 1:
+            only = parts[0]
+            return lambda row: (only(row),)
+        return lambda row: tuple([part(row) for part in parts])
+
     def _materialize_hash_join(self, source: HashJoin,
-                               outer_env: Optional[Environment]) -> Relation:
-        left_header, left_rows = self._materialize(source.left, outer_env)
-        right_header, right_rows = self._materialize(source.right, outer_env)
+                               outer: Optional[Scope]) -> Relation:
+        left_header, left_rows = self._materialize(source.left, outer)
+        right_header, right_rows = self._materialize(source.right, outer)
         header = left_header + right_header
         right_width = len(right_header)
 
+        right_key = self._key_fn(source.right_keys,
+                                 self._compiler(right_header, outer))
         buckets: dict[tuple, list[tuple]] = {}
         for row in right_rows:
-            env = Environment(right_header, row, outer_env)
-            key = tuple(self._evaluator.evaluate(expr, env)
-                        for expr in source.right_keys)
+            key = right_key(row)
             if None in key:
                 continue
             buckets.setdefault(key, []).append(row)
 
+        left_key = self._key_fn(source.left_keys,
+                                self._compiler(left_header, outer))
         out: list[tuple] = []
         null_pad = tuple([None] * right_width)
         for row in left_rows:
-            env = Environment(left_header, row, outer_env)
-            key = tuple(self._evaluator.evaluate(expr, env)
-                        for expr in source.left_keys)
+            key = left_key(row)
             matches = buckets.get(key, []) if None not in key else []
             if matches:
                 for right_row in matches:
@@ -413,9 +413,9 @@ class Executor:
         return header, out
 
     def _materialize_nested_loop(self, source: NestedLoopJoin,
-                                 outer_env: Optional[Environment]) -> Relation:
-        left_header, left_rows = self._materialize(source.left, outer_env)
-        right_header, right_rows = self._materialize(source.right, outer_env)
+                                 outer: Optional[Scope]) -> Relation:
+        left_header, left_rows = self._materialize(source.left, outer)
+        right_header, right_rows = self._materialize(source.right, outer)
 
         condition = source.condition
         drop_right_positions: list[int] = []
@@ -428,11 +428,14 @@ class Executor:
         left_width = len(left_header)
         out: list[tuple] = []
 
-        def matches(combined: tuple) -> bool:
-            if condition is None:
+        if condition is None:
+            def matches(combined: tuple) -> bool:
                 return True
-            env = Environment(header, combined, outer_env)
-            return is_truthy(self._evaluator.evaluate(condition, env))
+        else:
+            compiled = self._compiler(header, outer).compile(condition)
+
+            def matches(combined: tuple) -> bool:
+                return compiled(combined) is True
 
         if source.kind in ("INNER", "CROSS"):
             for left_row in left_rows:
@@ -522,36 +525,42 @@ class Executor:
 
         count = 0
         if statement.rows is not None:
-            env = Environment(_EMPTY_HEADER, _EMPTY_ENV_ROW)
+            compiler = self._compiler(_EMPTY_HEADER, None)
             for value_row in statement.rows:
-                values = [self._evaluator.evaluate(expr, env)
+                values = [compiler.compile(expr)(_EMPTY_ENV_ROW)
                           for expr in value_row]
                 table.insert(widen(values))
                 count += 1
         else:
             assert statement.select is not None
-            __, rows = self.execute_query(statement.select, outer_env=None)
+            __, rows = self.execute_query(statement.select, outer=None)
             for row in rows:
                 table.insert(widen(list(row)))
                 count += 1
         return count
 
+    def _row_compiler(self, table_name: str) -> Compiler:
+        """Compiler over the rows of one base table, for UPDATE/DELETE."""
+        schema = self._engine.table_for(table_name).schema
+        return self._compiler(Header([(table_name, name)
+                                      for name in schema.column_names]), None)
+
     def _update(self, statement: ast.Update) -> int:
         table = self._engine.table_for(statement.table)
         schema = table.schema
-        header = Header([(statement.table, name)
-                         for name in schema.column_names])
-        assignments = [(schema.column_index(a.column), a.value)
+        compiler = self._row_compiler(statement.table)
+        where = (compiler.compile(statement.where)
+                 if statement.where is not None else None)
+        assignments = [(schema.column_index(a.column), compiler.compile(a.value))
                        for a in statement.assignments]
         touched: list[tuple[int, list[Any]]] = []
         for row_id, row in table.scan():
-            env = Environment(header, tuple(row))
-            if statement.where is not None and not is_truthy(
-                    self._evaluator.evaluate(statement.where, env)):
+            current = tuple(row)
+            if where is not None and where(current) is not True:
                 continue
             new_row = list(row)
-            for position, expression in assignments:
-                new_row[position] = self._evaluator.evaluate(expression, env)
+            for position, value in assignments:
+                new_row[position] = value(current)
             touched.append((row_id, new_row))
         for row_id, new_row in touched:
             table.update(row_id, new_row)
@@ -559,14 +568,10 @@ class Executor:
 
     def _delete(self, statement: ast.Delete) -> int:
         table = self._engine.table_for(statement.table)
-        header = Header([(statement.table, name)
-                         for name in table.schema.column_names])
-        doomed: list[int] = []
-        for row_id, row in table.scan():
-            env = Environment(header, tuple(row))
-            if statement.where is None or is_truthy(
-                    self._evaluator.evaluate(statement.where, env)):
-                doomed.append(row_id)
+        where = (self._row_compiler(statement.table).compile(statement.where)
+                 if statement.where is not None else None)
+        doomed = [row_id for row_id, row in table.scan()
+                  if where is None or where(tuple(row)) is True]
         for row_id in doomed:
             table.delete(row_id)
         return len(doomed)
@@ -574,8 +579,8 @@ class Executor:
     # ----------------------------------------------------------------- helpers --
 
     def _constant_int(self, expression: ast.Expression, label: str) -> int:
-        env = Environment(_EMPTY_HEADER, _EMPTY_ENV_ROW)
-        value = self._evaluator.evaluate(expression, env)
+        value = self._compiler(_EMPTY_HEADER, None).compile(expression)(
+            _EMPTY_ENV_ROW)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise SqlError(f"{label} requires a non-negative integer")
         return value
@@ -604,6 +609,31 @@ def _null_aware_key(value: Any):
     return (value is not None, value)
 
 
+def _output_key(position: int) -> KeyFn:
+    return lambda row, output: output[position]
+
+
+def _input_key(compiled: RowFn) -> KeyFn:
+    return lambda row, output: compiled(row)
+
+
+def _out_of_range(ordinal: int) -> KeyFn:
+    def fail(row: tuple, output: tuple) -> Any:
+        raise SqlError(f"ORDER BY position {ordinal} out of range")
+    return fail
+
+
+def _sort_rows(rows: list[tuple], keys: list[list[Any]],
+               order_by: list[ast.OrderItem]) -> list[tuple]:
+    """*rows* ordered by their parallel ORDER BY *keys*."""
+    order = list(range(len(rows)))
+    # Stable-sort from the least-significant key to the most.
+    for position in range(len(order_by) - 1, -1, -1):
+        order.sort(key=lambda i: _null_aware_key(keys[i][position]),
+                   reverse=not order_by[position].ascending)
+    return [rows[i] for i in order]
+
+
 def _dedupe(rows: list[tuple]) -> list[tuple]:
     seen: set[tuple] = set()
     result: list[tuple] = []
@@ -614,12 +644,17 @@ def _dedupe(rows: list[tuple]) -> list[tuple]:
     return result
 
 
-def _dedupe_keyed(keyed_rows: list[tuple[tuple, list[Any]]]
-                  ) -> list[tuple[tuple, list[Any]]]:
+def _dedupe_keyed(rows: list[tuple], keys: list[list[Any]]
+                  ) -> tuple[list[tuple], list[list[Any]]]:
+    """First occurrence of each row, with its keys when there are any."""
+    if not keys:
+        return _dedupe(rows), keys
     seen: set[tuple] = set()
-    result: list[tuple[tuple, list[Any]]] = []
-    for row, keys in keyed_rows:
+    kept_rows: list[tuple] = []
+    kept_keys: list[list[Any]] = []
+    for row, key in zip(rows, keys):
         if row not in seen:
             seen.add(row)
-            result.append((row, keys))
-    return result
+            kept_rows.append(row)
+            kept_keys.append(key)
+    return kept_rows, kept_keys

@@ -1,16 +1,36 @@
-"""Expression evaluation with SQL semantics.
+"""Expression compilation with SQL semantics.
 
-The evaluator implements three-valued logic (NULL-aware AND/OR/NOT),
+:class:`Compiler` turns an expression AST into a Python closure over one
+input row (a tuple).  The executor compiles each expression once per
+operator per statement execution and then calls the closure for every
+row, so the per-row cost is the work SQL asks for and nothing else:
+
+* column references resolve to slot positions at compile time;
+* ``?`` parameters and literals are constants, and a constant operand of
+  a comparison has its coercions done once (an ISO string compared with
+  a date is parsed once, not once per row);
+* the operator is chosen at compile time, not dispatched per row.
+
+The closures implement three-valued logic (NULL-aware AND/OR/NOT),
 NULL-propagating arithmetic and comparisons, LIKE pattern matching,
-scalar function dispatch, CASE, and subquery forms (scalar, IN, EXISTS).
+scalar function dispatch, CASE, CAST and subquery forms (scalar, IN,
+EXISTS).
 
-Rows are evaluated inside an :class:`Environment`: a mapping from column
-bindings to values that chains to an outer environment so correlated
-subqueries can see enclosing rows.
+Errors stay lazy: an unknown or ambiguous column, a missing parameter or
+an unknown function compiles to a closure that raises when it is called,
+so a statement whose rows never reach the expression succeeds, exactly
+as an evaluator that walks the tree per row would behave.
+
+Correlated subqueries see enclosing rows through a :class:`Scope` chain.
+A name that does not resolve in the local header is looked up in the
+enclosing scopes at compile time; a subquery is compiled each time it
+runs, so the enclosing row's value is a constant of that compilation.
 """
 
 from __future__ import annotations
 
+import datetime
+import operator
 import re
 from typing import Any, Callable, Optional
 
@@ -18,6 +38,9 @@ from repro.errors import CatalogError, SqlError
 from repro.sql import ast
 from repro.sql.functions import SCALAR_FUNCTIONS, is_aggregate
 from repro.sql.types import TYPE_SYNONYMS, coerce, comparable
+
+#: A compiled expression: input row -> value.
+RowFn = Callable[[tuple], Any]
 
 
 class Header:
@@ -68,36 +91,26 @@ class Header:
         return [column for _, column in self.slots]
 
 
-class Environment:
-    """One row bound to a header, chained to an optional outer scope."""
+class Scope:
+    """An enclosing row visible to a correlated subquery, chained to the
+    scopes around it."""
+
+    __slots__ = ("header", "row", "outer")
 
     def __init__(self, header: Header, row: tuple,
-                 outer: Optional["Environment"] = None,
-                 aggregates: Optional[dict[int, Any]] = None):
+                 outer: Optional["Scope"] = None):
         self.header = header
         self.row = row
         self.outer = outer
-        #: id(FunctionCall-node) -> computed aggregate value, used when
-        #: projecting the output of a GROUP BY.
-        self.aggregates = aggregates or {}
-
-    def lookup(self, name: str, table: Optional[str]) -> Any:
-        position = self.header.resolve(name, table)
-        if position is not None:
-            return self.row[position]
-        if self.outer is not None:
-            return self.outer.lookup(name, table)
-        qualified = f"{table}.{name}" if table else name
-        raise CatalogError(f"unknown column {qualified!r}")
 
 
-_LIKE_CACHE: dict[str, re.Pattern] = {}
+_LIKE_CACHE: dict[Any, re.Pattern] = {}
+#: Patterns come from user input (bound parameters included), so the
+#: cache is emptied once it holds this many, like the statement cache.
+_LIKE_CACHE_LIMIT = 512
 
 
-def like_match(value: Any, pattern: Any) -> Optional[bool]:
-    """SQL LIKE with ``%`` and ``_``; NULL operands yield NULL."""
-    if value is None or pattern is None:
-        return None
+def _like_regex(pattern: Any) -> re.Pattern:
     compiled = _LIKE_CACHE.get(pattern)
     if compiled is None:
         regex_parts = ["^"]
@@ -110,8 +123,30 @@ def like_match(value: Any, pattern: Any) -> Optional[bool]:
                 regex_parts.append(re.escape(char))
         regex_parts.append("$")
         compiled = re.compile("".join(regex_parts), re.IGNORECASE | re.DOTALL)
+        if len(_LIKE_CACHE) > _LIKE_CACHE_LIMIT:
+            _LIKE_CACHE.clear()
         _LIKE_CACHE[pattern] = compiled
-    return compiled.match(str(value)) is not None
+    return compiled
+
+
+def like_match(value: Any, pattern: Any) -> Optional[bool]:
+    """SQL LIKE with ``%`` and ``_``; NULL operands yield NULL."""
+    if value is None or pattern is None:
+        return None
+    return _like_regex(pattern).match(str(value)) is not None
+
+
+_COMPARE_OPS: dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+#: ``constant OP value`` rewritten as ``value SWAPPED[OP] constant``.
+_SWAPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: Types whose values of the same type always compare with Python's own
+#: operators exactly as :func:`_compare` would.
+_PLAIN_TYPES = frozenset({int, float, str, bool, datetime.date})
+_NUMBERS = frozenset({int, float})
+_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
@@ -127,37 +162,51 @@ def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
         if op == "<>":
             return True
         raise SqlError(f"cannot compare {type(left).__name__} with {type(right).__name__}")
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise SqlError(f"unknown comparison operator {op!r}")  # pragma: no cover
+    return _COMPARE_OPS[op](left, right)
+
+
+def _iso_date(text: str) -> Optional[datetime.date]:
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        return None
 
 
 def _coerce_date_pair(left: Any, right: Any) -> tuple[Any, Any]:
     """Promote an ISO string to a date when compared against a date
     column, the way SQL engines implicitly cast date literals."""
-    import datetime
-
     if isinstance(left, datetime.date) and isinstance(right, str):
-        try:
-            return left, datetime.date.fromisoformat(right)
-        except ValueError:
-            return left, right
+        parsed = _iso_date(right)
+        return (left, right) if parsed is None else (left, parsed)
     if isinstance(right, datetime.date) and isinstance(left, str):
-        try:
-            return datetime.date.fromisoformat(left), right
-        except ValueError:
-            return left, right
+        parsed = _iso_date(left)
+        return (left, right) if parsed is None else (parsed, right)
     return left, right
+
+
+def _constant_test(op: str, constant: Any,
+                   constant_first: bool = False) -> Callable[[Any], Optional[bool]]:
+    """``_compare(op, value, constant)`` as a one-argument test, or
+    ``_compare(op, constant, value)`` when *constant_first*, with the
+    constant's type check and date parse done once."""
+    if constant is None:
+        return lambda value: None
+    test = _COMPARE_OPS[_SWAPPED[op] if constant_first else op]
+    fast_type = type(constant) if type(constant) in _PLAIN_TYPES else None
+    as_date = _iso_date(constant) if type(constant) is str else None
+
+    def check(value: Any) -> Optional[bool]:
+        if type(value) is fast_type:
+            return test(value, constant)
+        if value is None:
+            return None
+        other = constant
+        if as_date is not None and isinstance(value, datetime.date):
+            other = as_date
+        if constant_first:
+            return _compare(op, other, value)
+        return _compare(op, value, other)
+    return check
 
 
 def _arith(op: str, left: Any, right: Any) -> Any:
@@ -190,197 +239,395 @@ def _arith(op: str, left: Any, right: Any) -> Any:
     raise SqlError(f"unknown arithmetic operator {op!r}")  # pragma: no cover
 
 
-def is_truthy(value: Any) -> bool:
-    """Collapse three-valued logic to a WHERE-clause decision."""
-    return value is True
+def _raiser(error: type[Exception], message: str) -> RowFn:
+    """A compiled expression that fails only when a row reaches it."""
+    def fail(row: tuple) -> Any:
+        raise error(message)
+    return fail
 
 
-class Evaluator:
-    """Evaluates AST expressions against an :class:`Environment`.
+def _constant(value: Any) -> RowFn:
+    return lambda row: value
 
-    *subquery_executor* is a callable ``(select, outer_env) -> list[tuple]``
-    supplied by the executor so subqueries can run with correlation.
-    *params* carries positional ``?`` bindings.
+
+_NOT_CONSTANT = object()
+
+
+class Compiler:
+    """Compiles expressions over rows laid out by *header*.
+
+    *outer* is the chain of enclosing rows a correlated subquery sees;
+    *params* carries positional ``?`` bindings; *run_subquery* is a
+    callable ``(select, scope) -> list[tuple]`` supplied by the executor.
+    *aggregates* maps ``id(FunctionCall)`` of each aggregate to the slot
+    holding its per-group value, for expressions evaluated after GROUP BY
+    over rows extended with those values.
     """
 
-    def __init__(self,
-                 subquery_executor: Optional[Callable[[ast.Select, Environment], list[tuple]]] = None,
-                 params: Optional[list[Any]] = None):
-        self._run_subquery = subquery_executor
-        self._params = params or []
+    def __init__(self, header: Header, outer: Optional[Scope],
+                 params: list[Any],
+                 run_subquery: Callable[[ast.Select, Scope], list[tuple]],
+                 aggregates: Optional[dict[int, int]] = None):
+        self.header = header
+        self.outer = outer
+        self.aggregates = aggregates or {}
+        self._params = params
+        self._run_subquery = run_subquery
 
-    def evaluate(self, expression: ast.Expression, env: Environment) -> Any:
-        method = getattr(self, f"_eval_{type(expression).__name__.lower()}", None)
+    def compile(self, node: ast.Expression) -> RowFn:
+        method = _COMPILERS.get(type(node))
         if method is None:
-            raise SqlError(f"cannot evaluate {type(expression).__name__}")
-        return method(expression, env)
+            return _raiser(SqlError, f"cannot evaluate {type(node).__name__}")
+        return method(self, node)
+
+    def constant_value(self, node: ast.Expression) -> Any:
+        """The value of a literal or bound parameter, else _NOT_CONSTANT."""
+        if type(node) is ast.Literal:
+            return node.value
+        if type(node) is ast.Param and node.index < len(self._params):
+            return self._params[node.index]
+        return _NOT_CONSTANT
+
+    def slot(self, node: ast.Expression) -> Optional[int]:
+        """The local slot a column reference reads, or None."""
+        if type(node) is not ast.ColumnRef:
+            return None
+        try:
+            return self.header.resolve(node.name, node.table)
+        except CatalogError:
+            return None
 
     # -- leaf nodes -----------------------------------------------------------
 
-    def _eval_literal(self, node: ast.Literal, env: Environment) -> Any:
-        return node.value
+    def _literal(self, node: ast.Literal) -> RowFn:
+        return _constant(node.value)
 
-    def _eval_columnref(self, node: ast.ColumnRef, env: Environment) -> Any:
-        return env.lookup(node.name, node.table)
+    def _column_ref(self, node: ast.ColumnRef) -> RowFn:
+        scope_header, scope_row, outer = self.header, None, self.outer
+        while True:
+            try:
+                position = scope_header.resolve(node.name, node.table)
+            except CatalogError as exc:
+                return _raiser(CatalogError, str(exc))
+            if position is not None:
+                if scope_row is None:
+                    return operator.itemgetter(position)
+                return _constant(scope_row[position])
+            if outer is None:
+                qualified = f"{node.table}.{node.name}" if node.table else node.name
+                return _raiser(CatalogError, f"unknown column {qualified!r}")
+            scope_header, scope_row, outer = outer.header, outer.row, outer.outer
 
-    def _eval_param(self, node: ast.Param, env: Environment) -> Any:
+    def _param(self, node: ast.Param) -> RowFn:
         if node.index >= len(self._params):
-            raise SqlError(f"missing value for parameter {node.index + 1}")
-        return self._params[node.index]
+            return _raiser(SqlError, f"missing value for parameter {node.index + 1}")
+        return _constant(self._params[node.index])
 
-    def _eval_star(self, node: ast.Star, env: Environment) -> Any:
-        raise SqlError("* is only valid in a select list or COUNT(*)")
+    def _star(self, node: ast.Star) -> RowFn:
+        return _raiser(SqlError, "* is only valid in a select list or COUNT(*)")
 
     # -- operators ---------------------------------------------------------------
 
-    def _eval_unary(self, node: ast.Unary, env: Environment) -> Any:
-        if node.op == "NOT":
-            value = self.evaluate(node.operand, env)
+    def _unary(self, node: ast.Unary) -> RowFn:
+        operand = self.compile(node.operand)
+        op = node.op
+        if op == "NOT":
+            def negate(row: tuple) -> Optional[bool]:
+                value = operand(row)
+                if value is None:
+                    return None
+                return value is not True
+            return negate
+
+        def sign(row: tuple) -> Any:
+            value = operand(row)
             if value is None:
                 return None
-            return not is_truthy(value)
-        value = self.evaluate(node.operand, env)
-        if value is None:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SqlError(f"unary {node.op} requires a number, got {value!r}")
-        return -value if node.op == "-" else value
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise SqlError(f"unary {op} requires a number, got {value!r}")
+            return -value if op == "-" else value
+        return sign
 
-    def _eval_binary(self, node: ast.Binary, env: Environment) -> Any:
-        if node.op == "AND":
-            left = self.evaluate(node.left, env)
-            if left is False:
+    def _binary(self, node: ast.Binary) -> RowFn:
+        op = node.op
+        if op in _COMPARE_OPS:
+            return self._comparison(node)
+        left = self.compile(node.left)
+        right = self.compile(node.right)
+        if op == "AND":
+            def conjunction(row: tuple) -> Optional[bool]:
+                left_value = left(row)
+                if left_value is False:
+                    return False
+                right_value = right(row)
+                if right_value is False:
+                    return False
+                if left_value is None or right_value is None:
+                    return None
+                return left_value is True and right_value is True
+            return conjunction
+        if op == "OR":
+            def disjunction(row: tuple) -> Optional[bool]:
+                left_value = left(row)
+                if left_value is True:
+                    return True
+                right_value = right(row)
+                if right_value is True:
+                    return True
+                if left_value is None or right_value is None:
+                    return None
                 return False
-            right = self.evaluate(node.right, env)
-            if right is False:
-                return False
-            if left is None or right is None:
+            return disjunction
+        fast = _ARITH_OPS.get(op)
+        if fast is not None:
+            def arithmetic(row: tuple) -> Any:
+                left_value = left(row)
+                right_value = right(row)
+                if type(left_value) in _NUMBERS and type(right_value) in _NUMBERS:
+                    return fast(left_value, right_value)
+                return _arith(op, left_value, right_value)
+            return arithmetic
+        return lambda row: _arith(op, left(row), right(row))
+
+    def _comparison(self, node: ast.Binary) -> RowFn:
+        op = node.op
+        right_constant = self.constant_value(node.right)
+        if right_constant is not _NOT_CONSTANT:
+            left = self.compile(node.left)
+            check = _constant_test(op, right_constant)
+            return lambda row: check(left(row))
+        left_constant = self.constant_value(node.left)
+        if left_constant is not _NOT_CONSTANT:
+            right = self.compile(node.right)
+            check = _constant_test(op, left_constant, constant_first=True)
+            return lambda row: check(right(row))
+        left = self.compile(node.left)
+        right = self.compile(node.right)
+        test = _COMPARE_OPS[op]
+
+        def compare(row: tuple) -> Optional[bool]:
+            left_value = left(row)
+            right_value = right(row)
+            if type(left_value) is type(right_value) and \
+                    type(left_value) in _PLAIN_TYPES:
+                return test(left_value, right_value)
+            return _compare(op, left_value, right_value)
+        return compare
+
+    def _is_null(self, node: ast.IsNull) -> RowFn:
+        operand = self.compile(node.operand)
+        if node.negated:
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
+
+    def _between(self, node: ast.Between) -> RowFn:
+        operand = self.compile(node.operand)
+        negated = node.negated
+
+        def decide(lower_ok: Optional[bool],
+                   upper_ok: Optional[bool]) -> Optional[bool]:
+            if lower_ok is None or upper_ok is None:
                 return None
-            return is_truthy(left) and is_truthy(right)
-        if node.op == "OR":
-            left = self.evaluate(node.left, env)
-            if left is True:
-                return True
-            right = self.evaluate(node.right, env)
-            if right is True:
-                return True
-            if left is None or right is None:
+            result = lower_ok and upper_ok
+            return (not result) if negated else result
+
+        low = self.constant_value(node.low)
+        high = self.constant_value(node.high)
+        if low is not _NOT_CONSTANT and high is not _NOT_CONSTANT:
+            low_check = _constant_test(">=", low)
+            high_check = _constant_test("<=", high)
+
+            def between_constants(row: tuple) -> Optional[bool]:
+                value = operand(row)
+                return decide(low_check(value), high_check(value))
+            return between_constants
+        low_fn = self.compile(node.low)
+        high_fn = self.compile(node.high)
+
+        def between(row: tuple) -> Optional[bool]:
+            value = operand(row)
+            low_value = low_fn(row)
+            high_value = high_fn(row)
+            return decide(_compare(">=", value, low_value),
+                          _compare("<=", value, high_value))
+        return between
+
+    def _like(self, node: ast.Like) -> RowFn:
+        operand = self.compile(node.operand)
+        negated = node.negated
+        pattern = self.constant_value(node.pattern)
+        if pattern is None:
+            def like_null(row: tuple) -> None:
+                operand(row)
                 return None
-            return is_truthy(left) or is_truthy(right)
-        left = self.evaluate(node.left, env)
-        right = self.evaluate(node.right, env)
-        if node.op in ("=", "<>", "<", "<=", ">", ">="):
-            return _compare(node.op, left, right)
-        return _arith(node.op, left, right)
+            return like_null
+        if pattern is not _NOT_CONSTANT:
+            match = _like_regex(pattern).match
 
-    def _eval_isnull(self, node: ast.IsNull, env: Environment) -> bool:
-        value = self.evaluate(node.operand, env)
-        return (value is not None) if node.negated else (value is None)
+            def like(row: tuple) -> Optional[bool]:
+                value = operand(row)
+                if value is None:
+                    return None
+                return (match(str(value)) is not None) != negated
+            return like
+        compiled = self.compile(node.pattern)
 
-    def _eval_between(self, node: ast.Between, env: Environment) -> Optional[bool]:
-        value = self.evaluate(node.operand, env)
-        low = self.evaluate(node.low, env)
-        high = self.evaluate(node.high, env)
-        lower_ok = _compare(">=", value, low)
-        upper_ok = _compare("<=", value, high)
-        if lower_ok is None or upper_ok is None:
-            return None
-        result = lower_ok and upper_ok
-        return (not result) if node.negated else result
+        def like_dynamic(row: tuple) -> Optional[bool]:
+            result = like_match(operand(row), compiled(row))
+            if result is None:
+                return None
+            return (not result) if negated else result
+        return like_dynamic
 
-    def _eval_like(self, node: ast.Like, env: Environment) -> Optional[bool]:
-        result = like_match(self.evaluate(node.operand, env),
-                            self.evaluate(node.pattern, env))
-        if result is None:
-            return None
-        return (not result) if node.negated else result
+    def _in_list(self, node: ast.InList) -> RowFn:
+        operand = self.compile(node.operand)
+        found, missing = (not node.negated), node.negated
+        constants = [self.constant_value(item) for item in node.items]
+        if _NOT_CONSTANT not in constants:
+            checks = [_constant_test("=", c) for c in constants if c is not None]
+            saw_null = None in constants
 
-    def _eval_inlist(self, node: ast.InList, env: Environment) -> Optional[bool]:
-        value = self.evaluate(node.operand, env)
-        if value is None:
-            return None
-        saw_null = False
-        for item in node.items:
-            candidate = self.evaluate(item, env)
-            if candidate is None:
-                saw_null = True
-                continue
-            if _compare("=", value, candidate) is True:
-                return not node.negated
-        if saw_null:
-            return None
-        return node.negated
+            def in_constants(row: tuple) -> Optional[bool]:
+                value = operand(row)
+                if value is None:
+                    return None
+                for check in checks:
+                    if check(value) is True:
+                        return found
+                return None if saw_null else missing
+            return in_constants
+        items = [self.compile(item) for item in node.items]
 
-    def _eval_insubquery(self, node: ast.InSubquery, env: Environment) -> Optional[bool]:
-        value = self.evaluate(node.operand, env)
-        if value is None:
-            return None
-        rows = self._execute_subquery(node.subquery, env)
-        saw_null = False
-        for row in rows:
-            candidate = row[0]
-            if candidate is None:
-                saw_null = True
-            elif _compare("=", value, candidate) is True:
-                return not node.negated
-        if saw_null:
-            return None
-        return node.negated
+        def in_list(row: tuple) -> Optional[bool]:
+            value = operand(row)
+            if value is None:
+                return None
+            saw_null = False
+            for item in items:
+                candidate = item(row)
+                if candidate is None:
+                    saw_null = True
+                elif _compare("=", value, candidate) is True:
+                    return found
+            return None if saw_null else missing
+        return in_list
 
-    def _eval_exists(self, node: ast.Exists, env: Environment) -> bool:
-        rows = self._execute_subquery(node.subquery, env)
-        found = bool(rows)
-        return (not found) if node.negated else found
+    # -- subqueries ---------------------------------------------------------------
 
-    def _eval_scalarsubquery(self, node: ast.ScalarSubquery, env: Environment) -> Any:
-        rows = self._execute_subquery(node.subquery, env)
-        if not rows:
-            return None
-        if len(rows) > 1:
-            raise SqlError("scalar subquery returned more than one row")
-        if len(rows[0]) != 1:
-            raise SqlError("scalar subquery must return exactly one column")
-        return rows[0][0]
+    def _subquery(self, select: ast.Select) -> Callable[[tuple], list[tuple]]:
+        """``row -> rows`` of *select* run with *row* as its enclosing scope."""
+        run, header, outer = self._run_subquery, self.header, self.outer
+        return lambda row: run(select, Scope(header, row, outer))
 
-    def _eval_case(self, node: ast.Case, env: Environment) -> Any:
-        if node.operand is not None:
-            subject = self.evaluate(node.operand, env)
-            for when in node.whens:
-                if _compare("=", subject, self.evaluate(when.condition, env)) is True:
-                    return self.evaluate(when.result, env)
-        else:
-            for when in node.whens:
-                if is_truthy(self.evaluate(when.condition, env)):
-                    return self.evaluate(when.result, env)
-        if node.default is not None:
-            return self.evaluate(node.default, env)
-        return None
+    def _in_subquery(self, node: ast.InSubquery) -> RowFn:
+        operand = self.compile(node.operand)
+        rows_for = self._subquery(node.subquery)
+        found, missing = (not node.negated), node.negated
 
-    def _eval_cast(self, node: ast.Cast, env: Environment) -> Any:
-        value = self.evaluate(node.operand, env)
+        def in_subquery(row: tuple) -> Optional[bool]:
+            value = operand(row)
+            if value is None:
+                return None
+            saw_null = False
+            for candidate_row in rows_for(row):
+                candidate = candidate_row[0]
+                if candidate is None:
+                    saw_null = True
+                elif _compare("=", value, candidate) is True:
+                    return found
+            return None if saw_null else missing
+        return in_subquery
+
+    def _exists(self, node: ast.Exists) -> RowFn:
+        rows_for = self._subquery(node.subquery)
+        negated = node.negated
+        return lambda row: bool(rows_for(row)) != negated
+
+    def _scalar_subquery(self, node: ast.ScalarSubquery) -> RowFn:
+        rows_for = self._subquery(node.subquery)
+
+        def scalar(row: tuple) -> Any:
+            rows = rows_for(row)
+            if not rows:
+                return None
+            if len(rows) > 1:
+                raise SqlError("scalar subquery returned more than one row")
+            if len(rows[0]) != 1:
+                raise SqlError("scalar subquery must return exactly one column")
+            return rows[0][0]
+        return scalar
+
+    # -- CASE, CAST, functions --------------------------------------------------
+
+    def _case(self, node: ast.Case) -> RowFn:
+        arms = [(self.compile(when.condition), self.compile(when.result))
+                for when in node.whens]
+        default = (self.compile(node.default) if node.default is not None
+                   else _constant(None))
+        if node.operand is None:
+            def searched(row: tuple) -> Any:
+                for condition, result in arms:
+                    if condition(row) is True:
+                        return result(row)
+                return default(row)
+            return searched
+        subject = self.compile(node.operand)
+
+        def simple(row: tuple) -> Any:
+            value = subject(row)
+            for condition, result in arms:
+                if _compare("=", value, condition(row)) is True:
+                    return result(row)
+            return default(row)
+        return simple
+
+    def _cast(self, node: ast.Cast) -> RowFn:
+        operand = self.compile(node.operand)
         target = TYPE_SYNONYMS.get(node.type_name)
         if target is None:
-            raise SqlError(f"CAST to unknown type {node.type_name!r}")
-        return coerce(value, target)
+            message = f"CAST to unknown type {node.type_name!r}"
 
-    def _eval_functioncall(self, node: ast.FunctionCall, env: Environment) -> Any:
+            def unknown_type(row: tuple) -> Any:
+                operand(row)
+                raise SqlError(message)
+            return unknown_type
+        return lambda row: coerce(operand(row), target)
+
+    def _function_call(self, node: ast.FunctionCall) -> RowFn:
         if is_aggregate(node.name):
-            if id(node) in env.aggregates:
-                return env.aggregates[id(node)]
-            raise SqlError(
-                f"aggregate {node.name} used outside GROUP BY context")
+            position = self.aggregates.get(id(node))
+            if position is None:
+                return _raiser(SqlError, f"aggregate {node.name} used "
+                                         f"outside GROUP BY context")
+            return operator.itemgetter(position)
         fn = SCALAR_FUNCTIONS.get(node.name)
         if fn is None:
-            raise SqlError(f"unknown function {node.name}")
-        args = [self.evaluate(arg, env) for arg in node.args]
-        return fn(*args)
+            return _raiser(SqlError, f"unknown function {node.name}")
+        args = [self.compile(arg) for arg in node.args]
+        if len(args) == 1:
+            only = args[0]
+            return lambda row: fn(only(row))
+        return lambda row: fn(*[arg(row) for arg in args])
 
-    # -- helpers --------------------------------------------------------------
 
-    def _execute_subquery(self, select: ast.Select, env: Environment) -> list[tuple]:
-        if self._run_subquery is None:
-            raise SqlError("subqueries are not available in this context")
-        return self._run_subquery(select, env)
+_COMPILERS: dict[type, Callable[[Compiler, Any], RowFn]] = {
+    ast.Literal: Compiler._literal,
+    ast.ColumnRef: Compiler._column_ref,
+    ast.Param: Compiler._param,
+    ast.Star: Compiler._star,
+    ast.Unary: Compiler._unary,
+    ast.Binary: Compiler._binary,
+    ast.IsNull: Compiler._is_null,
+    ast.Between: Compiler._between,
+    ast.Like: Compiler._like,
+    ast.InList: Compiler._in_list,
+    ast.InSubquery: Compiler._in_subquery,
+    ast.Exists: Compiler._exists,
+    ast.ScalarSubquery: Compiler._scalar_subquery,
+    ast.Case: Compiler._case,
+    ast.Cast: Compiler._cast,
+    ast.FunctionCall: Compiler._function_call,
+}
 
 
 def collect_aggregates(expression: Optional[ast.Expression]) -> list[ast.FunctionCall]:

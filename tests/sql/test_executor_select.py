@@ -299,6 +299,38 @@ class TestUnion:
             "ORDER BY 1 DESC LIMIT 3")
         assert [r[0] for r in result.rows] == [13, 12, 11]
 
+    def test_union_order_by_zero_is_out_of_range(self, people_db):
+        # Not row[-1]: position 0 names no column, as in a plain SELECT.
+        with pytest.raises(SqlError, match="ORDER BY position 0 out of range"):
+            people_db.execute(
+                "SELECT id, name FROM person UNION SELECT order_id, "
+                "CAST(placed AS TEXT) FROM orders ORDER BY 0")
+
+    def test_union_order_by_past_last_column_is_a_sql_error(self, people_db):
+        with pytest.raises(SqlError, match="ORDER BY position 3 out of range"):
+            people_db.execute(
+                "SELECT id FROM person UNION SELECT order_id FROM orders "
+                "ORDER BY 3")
+
+    def test_union_order_by_boolean_is_not_an_ordinal(self, people_db):
+        # TRUE is a constant sort key: rows keep their UNION ALL order.
+        rows = people_db.execute(
+            "SELECT name, id FROM person UNION ALL "
+            "SELECT CAST(placed AS TEXT), order_id FROM orders "
+            "ORDER BY TRUE").rows
+        unsorted = people_db.execute(
+            "SELECT name, id FROM person UNION ALL "
+            "SELECT CAST(placed AS TEXT), order_id FROM orders").rows
+        assert rows == unsorted
+        assert rows != sorted(rows, key=lambda row: row[0])
+
+    def test_union_ordinal_rule_matches_select(self, people_db):
+        for sql in ("SELECT id FROM person ORDER BY 0",
+                    "SELECT id FROM person UNION SELECT id FROM person "
+                    "ORDER BY 0"):
+            with pytest.raises(SqlError, match="position 0 out of range"):
+                people_db.execute(sql)
+
 
 class TestIndexUsage:
     def test_index_lookup_used(self):

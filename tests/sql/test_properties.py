@@ -133,3 +133,14 @@ def test_like_percent_matches_everything(value):
 @settings(max_examples=40, deadline=None)
 def test_like_prefix(prefix, rest):
     assert like_match(prefix + rest, prefix + "%") is True
+
+
+def test_like_cache_stays_bounded_under_distinct_patterns():
+    """Every distinct pattern, bound parameters included, lands in the
+    LIKE cache; the cache empties itself instead of growing forever."""
+    from repro.sql import expressions
+
+    for number in range(10_000):
+        assert like_match(f"p{number}x", f"p{number}%") is True
+    assert len(expressions._LIKE_CACHE) <= 513
+    assert like_match("abc", "A_C") is True
