@@ -426,10 +426,13 @@ class Compiler:
 
         def decide(lower_ok: Optional[bool],
                    upper_ok: Optional[bool]) -> Optional[bool]:
+            # x BETWEEN lo AND hi is x >= lo AND x <= hi, so one false
+            # bound decides even when the other is NULL.
+            if lower_ok is False or upper_ok is False:
+                return negated
             if lower_ok is None or upper_ok is None:
                 return None
-            result = lower_ok and upper_ok
-            return (not result) if negated else result
+            return not negated
 
         low = self.constant_value(node.low)
         high = self.constant_value(node.high)

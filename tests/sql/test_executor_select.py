@@ -46,6 +46,13 @@ class TestBasicSelect:
             "ORDER BY name")
         assert [r[0] for r in result.rows] == ["Alice", "Bob", "Eve"]
 
+    def test_between_with_a_null_bound_is_decided_by_the_other(self, people_db):
+        # 28 >= 30 is false, so 28 BETWEEN 30 AND NULL is false, not NULL.
+        result = people_db.execute(
+            "SELECT name FROM person WHERE age NOT BETWEEN 30 AND NULL "
+            "ORDER BY name")
+        assert [r[0] for r in result.rows] == ["Bob", "Eve"]
+
     def test_in_list(self, people_db):
         result = people_db.execute(
             "SELECT name FROM person WHERE id IN (1, 3)")
