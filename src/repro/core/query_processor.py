@@ -542,18 +542,13 @@ def _render_value(value: Any) -> str:
     if isinstance(value, ResultSet):
         if not value.columns:
             return f"({value.rowcount} row(s) affected)"
-        widths = [max(len(str(column)),
-                      *(len(str(row[i])) for row in value.rows))
-                  if value.rows else len(str(column))
-                  for i, column in enumerate(value.columns)]
-        header = "  ".join(str(c).ljust(w)
-                           for c, w in zip(value.columns, widths))
-        separator = "  ".join("-" * w for w in widths)
-        body = [
-            "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
-            for row in value.rows
-        ]
-        return "\n".join([header, separator, *body])
+        # Stringify every cell once; widths and padding share the text.
+        table = [[str(column) for column in value.columns]]
+        table.extend([str(cell) for cell in row] for row in value.rows)
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ["  ".join(map(str.ljust, cells, widths)) for cells in table]
+        lines.insert(1, "  ".join("-" * width for width in widths))
+        return "\n".join(lines)
     if isinstance(value, list) and value and isinstance(value[0], dict):
         return "\n".join(str(row) for row in value)
     return repr(value)

@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 from repro.errors import CatalogError, IntegrityError, SqlError
 from repro.sql import ast
 from repro.sql.expressions import (Compiler, Header, RowFn, Scope,
-                                   collect_aggregates)
+                                   collect_aggregates, failing)
 from repro.sql.functions import AGGREGATE_FUNCTIONS, CountAggregate
 from repro.sql.planner import (DerivedTable, HashJoin, IndexLookup,
                                NestedLoopJoin, Planner, RowSource, TableScan)
@@ -222,27 +222,32 @@ class Executor:
                    aggregate_nodes: list[ast.FunctionCall], names: list[str]
                    ) -> tuple[list[tuple], list[list[Any]]]:
         input_header = compiler.header
-        group_fns = [compiler.compile(
-                         self._resolve_group_alias(expr, select, input_header))
-                     for expr in select.group_by]
+        group_key = self._key_fn(
+            [self._resolve_group_alias(expr, select, input_header)
+             for expr in select.group_by], compiler)
         feeds = [self._feed(node, compiler) for node in aggregate_nodes]
 
-        groups: dict[tuple, tuple[tuple, list]] = {}
+        # key -> (first input row, accumulators, [(feed, accumulator.add)])
+        groups: dict[tuple, tuple[tuple, list, list]] = {}
+
+        def new_group(row: tuple) -> tuple[tuple, list, list]:
+            accumulators = [self._make_accumulator(node)
+                            for node in aggregate_nodes]
+            return row, accumulators, [
+                (feed, accumulator.add)
+                for feed, accumulator in zip(feeds, accumulators)]
+
         for row in input_rows:
-            key = tuple([group(row) for group in group_fns])
+            key = group_key(row)
             state = groups.get(key)
             if state is None:
-                state = (row, [self._make_accumulator(node)
-                               for node in aggregate_nodes])
-                groups[key] = state
-            for feed, accumulator in zip(feeds, state[1]):
-                accumulator.add(feed(row))
+                state = groups[key] = new_group(row)
+            for feed, add in state[2]:
+                add(feed(row))
 
         if not select.group_by and not groups:
             # Aggregates over an empty input still yield one row.
-            groups[()] = (tuple([None] * len(input_header)),
-                          [self._make_accumulator(node)
-                           for node in aggregate_nodes])
+            groups[()] = new_group(tuple([None] * len(input_header)))
 
         # After grouping, each group is its first input row extended with
         # the group's aggregate values, which compiled aggregate
@@ -257,7 +262,7 @@ class Executor:
         key_fns = self._order_key_fns(select.order_by, grouped, names)
         rows: list[tuple] = []
         keys: list[list[Any]] = []
-        for representative, accumulators in groups.values():
+        for representative, accumulators, __ in groups.values():
             row = representative + tuple([accumulator.result()
                                           for accumulator in accumulators])
             if having is not None and having(row) is not True:
@@ -300,11 +305,8 @@ class Executor:
                 not node.args or isinstance(node.args[0], ast.Star)):
             return lambda row: 1
         if not node.args:
-            message = f"aggregate {node.name} requires an argument"
-
-            def missing(row: tuple) -> Any:
-                raise SqlError(message)
-            return missing
+            return failing(SqlError,
+                           f"aggregate {node.name} requires an argument")
         return compiler.compile(node.args[0])
 
     # -- ordering ----------------------------------------------------------------
@@ -346,7 +348,7 @@ class Executor:
             table = self._engine.table_for(source.table)
             header = Header([(source.binding, name)
                              for name in table.schema.column_names])
-            return header, [tuple(row) for __, row in table.scan()]
+            return header, table.row_tuples()
         if isinstance(source, IndexLookup):
             return self._materialize_index_lookup(source, outer)
         if isinstance(source, DerivedTable):
@@ -369,7 +371,7 @@ class Executor:
                            self._compiler(_EMPTY_HEADER, outer))(_EMPTY_ENV_ROW)
         index = table.index_on(source.columns)
         if index is None:  # index dropped between planning and execution
-            return header, [tuple(row) for __, row in table.scan()]
+            return header, table.row_tuples()
         row_ids = sorted(index.lookup(key))
         return header, [tuple(table.row(row_id)) for row_id in row_ids]
 
@@ -377,6 +379,8 @@ class Executor:
                 compiler: Compiler) -> Callable[[tuple], tuple]:
         """``row -> tuple`` of the compiled *expressions*."""
         parts = [compiler.compile(expr) for expr in expressions]
+        if not parts:
+            return lambda row: ()
         if len(parts) == 1:
             only = parts[0]
             return lambda row: (only(row),)

@@ -194,10 +194,13 @@ def _constant_test(op: str, constant: Any,
     test = _COMPARE_OPS[_SWAPPED[op] if constant_first else op]
     fast_type = type(constant) if type(constant) in _PLAIN_TYPES else None
     as_date = _iso_date(constant) if type(constant) is str else None
+    date_type = datetime.date if as_date is not None else None
 
     def check(value: Any) -> Optional[bool]:
         if type(value) is fast_type:
             return test(value, constant)
+        if type(value) is date_type:
+            return test(value, as_date)
         if value is None:
             return None
         other = constant
@@ -239,7 +242,7 @@ def _arith(op: str, left: Any, right: Any) -> Any:
     raise SqlError(f"unknown arithmetic operator {op!r}")  # pragma: no cover
 
 
-def _raiser(error: type[Exception], message: str) -> RowFn:
+def failing(error: type[Exception], message: str) -> RowFn:
     """A compiled expression that fails only when a row reaches it."""
     def fail(row: tuple) -> Any:
         raise error(message)
@@ -277,7 +280,7 @@ class Compiler:
     def compile(self, node: ast.Expression) -> RowFn:
         method = _COMPILERS.get(type(node))
         if method is None:
-            return _raiser(SqlError, f"cannot evaluate {type(node).__name__}")
+            return failing(SqlError, f"cannot evaluate {type(node).__name__}")
         return method(self, node)
 
     def constant_value(self, node: ast.Expression) -> Any:
@@ -308,23 +311,23 @@ class Compiler:
             try:
                 position = scope_header.resolve(node.name, node.table)
             except CatalogError as exc:
-                return _raiser(CatalogError, str(exc))
+                return failing(CatalogError, str(exc))
             if position is not None:
                 if scope_row is None:
                     return operator.itemgetter(position)
                 return _constant(scope_row[position])
             if outer is None:
                 qualified = f"{node.table}.{node.name}" if node.table else node.name
-                return _raiser(CatalogError, f"unknown column {qualified!r}")
+                return failing(CatalogError, f"unknown column {qualified!r}")
             scope_header, scope_row, outer = outer.header, outer.row, outer.outer
 
     def _param(self, node: ast.Param) -> RowFn:
         if node.index >= len(self._params):
-            return _raiser(SqlError, f"missing value for parameter {node.index + 1}")
+            return failing(SqlError, f"missing value for parameter {node.index + 1}")
         return _constant(self._params[node.index])
 
     def _star(self, node: ast.Star) -> RowFn:
-        return _raiser(SqlError, "* is only valid in a select list or COUNT(*)")
+        return failing(SqlError, "* is only valid in a select list or COUNT(*)")
 
     # -- operators ---------------------------------------------------------------
 
@@ -486,9 +489,9 @@ class Compiler:
         operand = self.compile(node.operand)
         found, missing = (not node.negated), node.negated
         constants = [self.constant_value(item) for item in node.items]
-        if _NOT_CONSTANT not in constants:
+        if all(c is not _NOT_CONSTANT for c in constants):
             checks = [_constant_test("=", c) for c in constants if c is not None]
-            saw_null = None in constants
+            saw_null = any(c is None for c in constants)
 
             def in_constants(row: tuple) -> Optional[bool]:
                 value = operand(row)
@@ -600,12 +603,12 @@ class Compiler:
         if is_aggregate(node.name):
             position = self.aggregates.get(id(node))
             if position is None:
-                return _raiser(SqlError, f"aggregate {node.name} used "
+                return failing(SqlError, f"aggregate {node.name} used "
                                          f"outside GROUP BY context")
             return operator.itemgetter(position)
         fn = SCALAR_FUNCTIONS.get(node.name)
         if fn is None:
-            return _raiser(SqlError, f"unknown function {node.name}")
+            return failing(SqlError, f"unknown function {node.name}")
         args = [self.compile(arg) for arg in node.args]
         if len(args) == 1:
             only = args[0]

@@ -149,6 +149,10 @@ class Table:
         """Iterate (row_id, row) pairs in insertion order."""
         yield from list(self._rows.items())
 
+    def row_tuples(self) -> list[tuple]:
+        """Every row as a tuple, in insertion order."""
+        return list(map(tuple, self._rows.values()))
+
     def __len__(self) -> int:
         return len(self._rows)
 
