@@ -162,18 +162,12 @@ class Executor:
         return names
 
     def _projector(self, select: ast.Select,
-                   compiler: Compiler) -> Optional[Callable[[tuple], tuple]]:
-        """``row -> output row`` for the select list, or None when the
-        output row is the input row itself (a bare ``SELECT *``)."""
+                   compiler: Compiler) -> Callable[[tuple], tuple]:
+        """``row -> output row`` for the select list."""
         header = compiler.header
-        items = select.items
-        if (len(items) == 1 and isinstance(items[0].expression, ast.Star)
-                and items[0].expression.table is None
-                and not compiler.aggregates):
-            return None
         columns: list[RowFn] = []
         slots: list[Optional[int]] = []
-        for item in items:
+        for item in select.items:
             expression = item.expression
             if isinstance(expression, ast.Star):
                 positions = (range(len(header)) if expression.table is None
@@ -193,10 +187,16 @@ class Executor:
     def _project(self, select: ast.Select, compiler: Compiler,
                  input_rows: list[tuple], names: list[str]
                  ) -> tuple[list[tuple], list[list[Any]]]:
-        """Project rows; returns (output rows, their ORDER BY keys)."""
-        project = self._projector(select, compiler)
-        rows = (input_rows if project is None
-                else [project(row) for row in input_rows])
+        """Project rows; returns (output rows, their ORDER BY keys).
+
+        A bare ``SELECT *`` passes the input rows through unchanged."""
+        items = select.items
+        if (len(items) == 1 and isinstance(items[0].expression, ast.Star)
+                and items[0].expression.table is None):
+            rows = input_rows
+        else:
+            project = self._projector(select, compiler)
+            rows = [project(row) for row in input_rows]
         keys: list[list[Any]] = []
         if select.order_by:
             key_fns = self._order_key_fns(select.order_by, compiler, names)
@@ -328,7 +328,8 @@ class Executor:
                 if 0 <= position < len(names):
                     key_fns.append(_output_key(position))
                 else:
-                    key_fns.append(_out_of_range(expr.value))
+                    key_fns.append(_input_key(failing(
+                        SqlError, f"ORDER BY position {expr.value} out of range")))
                 continue
             if isinstance(expr, ast.ColumnRef) and expr.table is None:
                 lowered = expr.name.lower()
@@ -619,12 +620,6 @@ def _output_key(position: int) -> KeyFn:
 
 def _input_key(compiled: RowFn) -> KeyFn:
     return lambda row, output: compiled(row)
-
-
-def _out_of_range(ordinal: int) -> KeyFn:
-    def fail(row: tuple, output: tuple) -> Any:
-        raise SqlError(f"ORDER BY position {ordinal} out of range")
-    return fail
 
 
 def _sort_rows(rows: list[tuple], keys: list[list[Any]],

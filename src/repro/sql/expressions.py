@@ -145,8 +145,6 @@ _SWAPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: Types whose values of the same type always compare with Python's own
 #: operators exactly as :func:`_compare` would.
 _PLAIN_TYPES = frozenset({int, float, str, bool, datetime.date})
-_NUMBERS = frozenset({int, float})
-_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
@@ -381,15 +379,6 @@ class Compiler:
                     return None
                 return False
             return disjunction
-        fast = _ARITH_OPS.get(op)
-        if fast is not None:
-            def arithmetic(row: tuple) -> Any:
-                left_value = left(row)
-                right_value = right(row)
-                if type(left_value) in _NUMBERS and type(right_value) in _NUMBERS:
-                    return fast(left_value, right_value)
-                return _arith(op, left_value, right_value)
-            return arithmetic
         return lambda row: _arith(op, left(row), right(row))
 
     def _comparison(self, node: ast.Binary) -> RowFn:
@@ -406,16 +395,7 @@ class Compiler:
             return lambda row: check(right(row))
         left = self.compile(node.left)
         right = self.compile(node.right)
-        test = _COMPARE_OPS[op]
-
-        def compare(row: tuple) -> Optional[bool]:
-            left_value = left(row)
-            right_value = right(row)
-            if type(left_value) is type(right_value) and \
-                    type(left_value) in _PLAIN_TYPES:
-                return test(left_value, right_value)
-            return _compare(op, left_value, right_value)
-        return compare
+        return lambda row: _compare(op, left(row), right(row))
 
     def _is_null(self, node: ast.IsNull) -> RowFn:
         operand = self.compile(node.operand)
@@ -425,10 +405,14 @@ class Compiler:
 
     def _between(self, node: ast.Between) -> RowFn:
         operand = self.compile(node.operand)
+        low = self.compile(node.low)
+        high = self.compile(node.high)
         negated = node.negated
 
-        def decide(lower_ok: Optional[bool],
-                   upper_ok: Optional[bool]) -> Optional[bool]:
+        def between(row: tuple) -> Optional[bool]:
+            value = operand(row)
+            lower_ok = _compare(">=", value, low(row))
+            upper_ok = _compare("<=", value, high(row))
             # x BETWEEN lo AND hi is x >= lo AND x <= hi, so one false
             # bound decides even when the other is NULL.
             if lower_ok is False or upper_ok is False:
@@ -436,26 +420,6 @@ class Compiler:
             if lower_ok is None or upper_ok is None:
                 return None
             return not negated
-
-        low = self.constant_value(node.low)
-        high = self.constant_value(node.high)
-        if low is not _NOT_CONSTANT and high is not _NOT_CONSTANT:
-            low_check = _constant_test(">=", low)
-            high_check = _constant_test("<=", high)
-
-            def between_constants(row: tuple) -> Optional[bool]:
-                value = operand(row)
-                return decide(low_check(value), high_check(value))
-            return between_constants
-        low_fn = self.compile(node.low)
-        high_fn = self.compile(node.high)
-
-        def between(row: tuple) -> Optional[bool]:
-            value = operand(row)
-            low_value = low_fn(row)
-            high_value = high_fn(row)
-            return decide(_compare(">=", value, low_value),
-                          _compare("<=", value, high_value))
         return between
 
     def _like(self, node: ast.Like) -> RowFn:
@@ -488,20 +452,6 @@ class Compiler:
     def _in_list(self, node: ast.InList) -> RowFn:
         operand = self.compile(node.operand)
         found, missing = (not node.negated), node.negated
-        constants = [self.constant_value(item) for item in node.items]
-        if all(c is not _NOT_CONSTANT for c in constants):
-            checks = [_constant_test("=", c) for c in constants if c is not None]
-            saw_null = any(c is None for c in constants)
-
-            def in_constants(row: tuple) -> Optional[bool]:
-                value = operand(row)
-                if value is None:
-                    return None
-                for check in checks:
-                    if check(value) is True:
-                        return found
-                return None if saw_null else missing
-            return in_constants
         items = [self.compile(item) for item in node.items]
 
         def in_list(row: tuple) -> Optional[bool]:

@@ -181,6 +181,31 @@ class TestAggregates:
             "HAVING COUNT(*) > 1")
         assert result.rows == [("Brisbane", 2)]
 
+    def test_select_star_group_by_keeps_first_row_of_each_group(self, people_db):
+        result = people_db.execute("SELECT * FROM person GROUP BY city")
+        assert result.columns == ["id", "name", "age", "city"]
+        assert result.rows == [(1, "Alice", 34, "Brisbane"),
+                               (2, "Bob", 28, "Cairns"),
+                               (4, "Dan", None, "Sydney"),
+                               (5, "Eve", 28, None)]
+
+    def test_select_star_group_by_with_plain_having(self, people_db):
+        result = people_db.execute(
+            "SELECT * FROM person GROUP BY city HAVING city IS NOT NULL")
+        assert [row[0] for row in result.rows] == [1, 2, 4]
+
+    def test_select_star_group_by_with_aggregate_having(self, people_db):
+        result = people_db.execute(
+            "SELECT * FROM person GROUP BY city HAVING COUNT(*) > 1")
+        assert result.rows == [(1, "Alice", 34, "Brisbane")]
+
+    def test_select_star_group_by_over_one_column(self, people_db):
+        result = people_db.execute(
+            "SELECT * FROM (SELECT city FROM person) c GROUP BY city "
+            "ORDER BY 1")
+        assert result.rows == [(None,), ("Brisbane",), ("Cairns",),
+                               ("Sydney",)]
+
     def test_order_by_aggregate(self, people_db):
         result = people_db.execute(
             "SELECT city, COUNT(*) FROM person WHERE city IS NOT NULL "
